@@ -138,94 +138,6 @@ python -m repro trace input-distribution --n 5 --out TRACE_smoke.json \
     --metrics TRACE_smoke_metrics.json --no-diagram
 rm -f TRACE_smoke.json TRACE_smoke.events.jsonl TRACE_smoke_metrics.json
 
-echo "== serve gateway smoke (HTTP round-trip vs local runner, sqlite cache) =="
-# Start the gateway as a real subprocess (parsing its readiness line),
-# submit a mixed warm/cold batch over HTTP — both through the client
-# library and the `submit` CLI — and assert the streamed results are
-# pickle-identical to a direct Runner.run_specs on the same specs, with
-# the pre-warmed spec answered from the cache without executing.
-python - <<'EOF'
-import json
-import os
-import pickle
-import signal
-import subprocess
-import sys
-import tempfile
-from pathlib import Path
-
-from repro.core import RingConfiguration
-from repro.runtime import Runner, RunSpec, SqliteResultCache
-from repro.serve import fetch_stats, submit_specs
-
-tmp = Path(tempfile.mkdtemp(prefix="repro-serve-smoke-"))
-cache_dir = tmp / "cache"
-specs = [
-    RunSpec.make(engine="sync",
-                 ring=RingConfiguration.oriented((1, 1, 0, 1)),
-                 algorithm="sync-and"),
-    RunSpec.make(engine="sync-batch",
-                 ring=RingConfiguration.oriented((0, 1, 0, 1, 1)),
-                 algorithm="sync-and"),
-    RunSpec.make(engine="async",
-                 ring=RingConfiguration.oriented((1, 1, 1)),
-                 algorithm="and", scheduler="random", scheduler_seed=11),
-]
-# Pre-warm the first spec into the shared sqlite cache.
-Runner(cache=SqliteResultCache(cache_dir)).run_specs([specs[0]])
-
-proc = subprocess.Popen(
-    [sys.executable, "-m", "repro", "serve", "--port", "0",
-     "--cache", str(cache_dir), "--backend", "sqlite"],
-    stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
-)
-try:
-    ready = proc.stdout.readline().strip()
-    assert ready.startswith("serving on http://"), f"bad readiness line: {ready!r}"
-    url = ready.split()[-1]
-
-    outcomes = submit_specs(url, specs)
-    local = Runner().run_specs(specs)
-    statuses = [outcome.status for outcome in outcomes]
-    assert statuses[0] == "cached", f"pre-warmed spec executed: {statuses}"
-    assert statuses[1:] == ["done", "done"], statuses
-    for outcome, expected in zip(outcomes, local):
-        assert pickle.dumps(outcome.result) == pickle.dumps(expected), \
-            "gateway result diverges from local Runner.run_specs"
-
-    stats = fetch_stats(url)
-    assert stats["warm_hits"] == 1 and stats["completed"] == 2, stats
-    assert stats["cache"]["backend"] == "sqlite", stats["cache"]
-
-    # The submit CLI sees the now fully-warm batch.
-    specs_file = tmp / "specs.json"
-    specs_file.write_text(json.dumps({"specs": [s.to_json_dict() for s in specs]}))
-    cli = subprocess.run(
-        [sys.executable, "-m", "repro", "submit", str(specs_file), "--url", url],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert cli.returncode == 0, cli.stderr
-    assert cli.stdout.count("[cached]") == 3, cli.stdout
-finally:
-    proc.send_signal(signal.SIGINT)
-    rc = proc.wait(timeout=60)
-assert rc == 0, f"gateway exited {rc} on SIGINT"
-
-# The shared root answers the cache CLI through the sqlite backend.
-for argv, needle in (
-    (["cache", "stats", "--cache", str(cache_dir)], "[sqlite]"),
-    (["cache", "prune", "--cache", str(cache_dir)], "pruned"),
-):
-    out = subprocess.run(
-        [sys.executable, "-m", "repro", *argv],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert out.returncode == 0 and needle in out.stdout, out.stdout + out.stderr
-
-print("serve smoke: 3 specs pickle-identical over HTTP, warm answers + "
-      "CLI submit + sqlite cache CLI ok, clean shutdown")
-EOF
-
 echo "== schedule-fuzz smoke (fixed seed, --jobs 2) =="
 # Small fixed-seed sweep so schedule-dependent regressions in the engine
 # or the algorithms fail fast; exits nonzero on any invariant violation.

@@ -130,10 +130,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from .reporting import render_markdown, report_footer, run_all, write_markdown
 
     start = time.time()
-    runner = _make_runner(args)
-    records = run_all(quick=args.quick, runner=runner)
+    with _make_runner(args) as runner:
+        records = run_all(quick=args.quick, runner=runner)
+        _write_runner_metrics(runner, args)
     ok = all(record.ok for record in records)
-    _write_runner_metrics(runner, args)
     if args.output is not None:
         write_markdown(records, args.output)
         print(f"wrote {args.output} ({len(records)} experiments)", file=sys.stderr)
@@ -215,46 +215,46 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    runner = _make_runner(args)
-    for suite in suites:
-        start = time.time()
-        if suite == "simulators":
-            records = run_bench(
-                quick=args.quick,
-                repeats=args.repeats,
-                sizes=tuple(args.sizes) if args.sizes else None,
-                runner=runner,
-            )
-            path = write_bench(records, args.output, quick=args.quick)
-            print(render_table(records))
-        elif suite == "obs":
-            records = run_obs_bench(
-                quick=args.quick,
-                repeats=args.repeats,
-                sizes=tuple(args.sizes) if args.sizes else None,
-                runner=runner,
-            )
-            path = write_obs_bench(records, args.output, quick=args.quick)
-            print(render_obs_table(records))
-        elif suite == "batch":
-            records = run_batch_bench(quick=args.quick, repeats=args.repeats)
-            path = write_batch_bench(records, args.output, quick=args.quick)
-            print(render_batch_table(records))
-        elif suite == "dynamic":
-            records = run_dynamic_bench(quick=args.quick, repeats=args.repeats)
-            path = write_dynamic_bench(records, args.output, quick=args.quick)
-            print(render_dynamic_table(records))
-            if not all(record.within_bounds for record in records):
-                print("dynamic suite: complexity bounds violated", file=sys.stderr)
-                return 1
-        else:
-            records = run_analysis_bench(
-                quick=args.quick, repeats=args.repeats, runner=runner
-            )
-            path = write_analysis_bench(records, args.output, quick=args.quick)
-            print(render_analysis_table(records))
-        print(f"wrote {path} ({len(records)} records in {time.time() - start:.1f}s)")
-    _write_runner_metrics(runner, args)
+    with _make_runner(args) as runner:
+        for suite in suites:
+            start = time.time()
+            if suite == "simulators":
+                records = run_bench(
+                    quick=args.quick,
+                    repeats=args.repeats,
+                    sizes=tuple(args.sizes) if args.sizes else None,
+                    runner=runner,
+                )
+                path = write_bench(records, args.output, quick=args.quick)
+                print(render_table(records))
+            elif suite == "obs":
+                records = run_obs_bench(
+                    quick=args.quick,
+                    repeats=args.repeats,
+                    sizes=tuple(args.sizes) if args.sizes else None,
+                    runner=runner,
+                )
+                path = write_obs_bench(records, args.output, quick=args.quick)
+                print(render_obs_table(records))
+            elif suite == "batch":
+                records = run_batch_bench(quick=args.quick, repeats=args.repeats)
+                path = write_batch_bench(records, args.output, quick=args.quick)
+                print(render_batch_table(records))
+            elif suite == "dynamic":
+                records = run_dynamic_bench(quick=args.quick, repeats=args.repeats)
+                path = write_dynamic_bench(records, args.output, quick=args.quick)
+                print(render_dynamic_table(records))
+                if not all(record.within_bounds for record in records):
+                    print("dynamic suite: complexity bounds violated", file=sys.stderr)
+                    return 1
+            else:
+                records = run_analysis_bench(
+                    quick=args.quick, repeats=args.repeats, runner=runner
+                )
+                path = write_analysis_bench(records, args.output, quick=args.quick)
+                print(render_analysis_table(records))
+            print(f"wrote {path} ({len(records)} records in {time.time() - start:.1f}s)")
+        _write_runner_metrics(runner, args)
     return 0
 
 
@@ -274,15 +274,16 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     sizes = tuple(args.sizes) if args.sizes else None
 
     start = time.time()
-    runner = _make_runner(args)
-    report = run_fuzz(
-        seed=args.seed,
-        targets=targets,
-        sizes=sizes,
-        profiles=profiles,
-        cases_per_campaign=cases,
-        runner=runner,
-    )
+    with _make_runner(args) as runner:
+        report = run_fuzz(
+            seed=args.seed,
+            targets=targets,
+            sizes=sizes,
+            profiles=profiles,
+            cases_per_campaign=cases,
+            runner=runner,
+        )
+        _write_runner_metrics(runner, args)
     path = write_report(report, args.output)
     print(render_summary(report))
     print(
@@ -290,7 +291,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         f"{time.time() - start:.1f}s)",
         file=sys.stderr,
     )
-    _write_runner_metrics(runner, args)
     return 1 if report["totals"]["violations"] else 0
 
 
@@ -475,7 +475,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 port=args.port,
                 jobs=args.jobs,
                 queue_limit=args.queue_limit,
-                chunk=args.chunk,
                 cache=cache,
                 on_ready=ready,
             )
@@ -710,7 +709,7 @@ def main(argv=None) -> int:
         "--port", type=int, default=8642, help="port (0 picks a free one)"
     )
     serve.add_argument(
-        "--jobs", type=int, default=1, help="worker processes draining the queue"
+        "--jobs", type=int, default=1, help="worker processes running cold specs"
     )
     serve.add_argument(
         "--queue-limit",
@@ -718,12 +717,6 @@ def main(argv=None) -> int:
         default=256,
         help="max cold specs queued or running; beyond it submissions get "
         "429 + Retry-After",
-    )
-    serve.add_argument(
-        "--chunk",
-        type=int,
-        default=16,
-        help="max jobs per runner batch when draining the queue",
     )
     serve.add_argument(
         "--cache",

@@ -28,19 +28,27 @@ number of nodes in class ``A``, three families of integer equations hold:
   ``Σ_{A: parent=X} x_A·m_A[Y] = Σ_{B: parent=Y} x_B·m_B[X]`` where
   ``m_A[Y]`` is ``A``'s observation multiplicity of ``Y``.
 
-The leader propagates these constraints to a fixpoint each round
-(solving every equation left with a single unknown — integer, positive,
-exact division, else the round is rejected).  Once the levels that are
-old enough to be certifiably complete yield the same total ``c`` on a
-small window of consecutive levels, the leader accepts ``c`` and floods
-a termination token ``(c, t_end)`` with ``t_end = now + c``: relays
-reach everyone within ``c − 1 ≥ n − 1`` rounds, and *all* processors
-halt at round ``t_end`` outputting ``c``.
+These equations are exact only on *complete* levels, and the leader
+cannot tell a complete level from the count it is trying to learn: the
+``n − 1``-rounds-old rule needs ``n``.  So each round the leader first
+proves a level complete.  It derives upper bounds on class sizes that
+hold however much of the tree it is still missing (the leader chain has
+one member; a class holds at most its parent's members; with two ports
+per processor, a class hears at most twice its sender class's members);
+where the bounds of level ``ℓ``'s classes sum to ``H`` and the current
+round is at least ``ℓ + H``, level ``ℓ`` is complete (see
+:func:`_try_accept`).  The equations of levels ``<= ℓ`` are then solved
+by propagation (every equation left with a single unknown), and when
+they pin down level ``ℓ`` its total is ``n``.  The leader floods a
+termination token ``(n, t_end)`` with ``t_end = now + n``: relays reach
+everyone within ``n − 1`` rounds, and *all* processors halt at round
+``t_end`` outputting ``n``.
 
-Where Di Luna–Viglietta prove termination in ``3n − 2`` rounds via a
-finer analysis of stabilized trees, this implementation uses the
-conservative solvable-window rule above; measured rounds stay linear in
-``n`` (asserted by ``BENCH_dynamic.json``), the message size polynomial.
+Where Di Luna–Viglietta prove termination in ``3n − 2`` rounds on any
+1-interval-connected network, this implementation relies on the two
+ports of the ring model for its completeness proof; measured rounds stay
+within ``3n`` on the dynamic rings and paths (asserted by
+``BENCH_dynamic.json``), the message size polynomial.
 The algorithm never reads ``self.n`` — the ring size is genuinely
 computed, not assumed.
 """
@@ -52,9 +60,9 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core.errors import ConfigurationError, ProtocolError
 from ..sync.process import Out, SyncProcess
 
-#: Number of consecutive certifiably-complete levels that must agree on
-#: the same total before the leader accepts it.
-_WINDOW = 2
+#: Ports per processor: each round a processor hears at most this many
+#: messages, which bounds how many members of one class a class can hear.
+_PORTS = 2
 
 
 class _Store:
@@ -130,40 +138,39 @@ class _Store:
         return maps
 
 
+def _children(store: _Store, top: int) -> Dict[int, List[int]]:
+    """Known children of every class, over levels ``<= top``."""
+    kids: Dict[int, List[int]] = {}
+    for level in range(1, min(top, len(store.levels) - 1) + 1):
+        for cid in store.levels[level]:
+            kids.setdefault(store.defs[cid][1], []).append(cid)
+    return kids
+
+
 def _propagate(
-    store: _Store,
-    chain: List[int],
-    max_level: int,
-    strict: bool,
+    store: _Store, chain: List[int], max_level: int
 ) -> Optional[Dict[int, int]]:
     """Pin class sizes by constraint propagation over levels ``<= max_level``.
 
     Solves, to a fixpoint, every anchor/partition/red-edge equation that
-    is down to a single unknown.  In ``strict`` mode any inconsistency —
-    a non-positive, non-integer, or contradictory deduction — rejects
-    the whole attempt (returns ``None``): on certifiably complete levels
-    the equations are exact, so a contradiction means the completeness
-    assumption was wrong.  In non-strict mode (used on the still-growing
-    top of the tree, merely to extract a candidate count) inconsistent
-    equations are skipped.
+    is down to a single unknown.  Only sound on complete levels, where
+    the equations are exact; any inconsistency — a non-positive,
+    non-integer, or contradictory deduction — returns ``None``.
     """
-    # Equations as (constant, ((coef, var), ...)) asserting
-    # constant + sum(coef * x_var) == 0, built fresh each attempt so no
-    # stale deduction survives new information.
+    # Equations as ((coef, var), ...) asserting sum(coef * x_var) == 0,
+    # built fresh each attempt so no stale deduction survives.
     equations: List[List[Tuple[int, int]]] = []
-    children: Dict[int, List[int]] = {}
     pair_terms: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
     for level in range(1, min(max_level, len(store.levels) - 1) + 1):
         for cid in store.levels[level]:
             _, parent, obs = store.defs[cid]
-            children.setdefault(parent, []).append(cid)
             for other, mult in obs:
                 if other == parent:
                     continue
                 key = (parent, other) if parent < other else (other, parent)
                 sign = 1 if parent < other else -1
                 pair_terms.setdefault(key, []).append((sign * mult, cid))
-    for parent, kids in children.items():
+    for parent, kids in _children(store, max_level).items():
         equations.append([(-1, parent)] + [(1, kid) for kid in kids])
     equations.extend(pair_terms.values())
 
@@ -192,65 +199,100 @@ def _propagate(
             if dead:
                 continue
             if unknown is None:
-                if total != 0 and strict:
+                if total != 0:
                     return None
                 continue
             coef, var = unknown
-            if total % coef != 0:
-                if strict:
-                    return None
-                continue
-            value = -total // coef
-            if value < 1:
-                if strict:
-                    return None
-                continue
-            sizes[var] = value
+            if total % coef != 0 or -total // coef < 1:
+                return None
+            sizes[var] = -total // coef
             progress = True
     return sizes
 
 
-def _level_totals(
-    store: _Store, sizes: Dict[int, int], max_level: int
-) -> Dict[int, int]:
-    """Totals of the fully-sized levels ``<= max_level``."""
-    totals: Dict[int, int] = {}
-    for level in range(min(max_level, len(store.levels) - 1) + 1):
-        ids = store.levels[level]
-        if all(cid in sizes for cid in ids):
-            totals[level] = sum(sizes[cid] for cid in ids)
-    return totals
+def _upper_bounds(store: _Store, chain: List[int], top: int) -> Dict[int, int]:
+    """Certified upper bounds on class sizes, sound on an incomplete view.
+
+    Unlike :func:`_propagate`, every deduction here holds for the true
+    sizes whatever classes the view is still missing:
+
+    * a leader-chain class has exactly one member;
+    * a class holds at most its parent's members, less a known lower
+      bound on each known sibling;
+    * with two ports per processor, the ``X``-members heard ``Y`` at
+      most ``2·hi(X)`` times in a round, less the ports of certain
+      members of known ``X``-children that heard something else; the
+      ``Y``-members heard ``X`` exactly as often (a red edge,
+      ``X ≠ Y``), so a known ``Y``-child that heard ``X`` holds at most
+      that many, less what its known siblings certainly heard from ``X``,
+      divided by its own multiplicity.
+
+    Lower bounds are one per class and, for a parent, the sum over its
+    known children.  Classes without a bound are absent from the result.
+    """
+    kids = _children(store, top)
+    # Lower bounds depend only on the levels above, upper bounds only on
+    # the level below and on lower bounds: one pass each way suffices.
+    lo: Dict[int, int] = {}
+    for level in range(top, -1, -1):
+        for cid in store.levels[level]:
+            lo[cid] = max(1, sum(lo[kid] for kid in kids.get(cid, ())))
+    hi: Dict[int, int] = {cid: 1 for cid in chain[: top + 1]}
+    for level in range(1, top + 1):
+        for cid in store.levels[level]:
+            _, parent, obs = store.defs[cid]
+            siblings = [kid for kid in kids[parent] if kid != cid]
+            bounds = [hi[cid]] if cid in hi else []
+            if parent in hi:
+                bounds.append(hi[parent] - sum(lo[kid] for kid in siblings))
+            for other, mult in obs:
+                if other == parent or other not in hi:
+                    continue
+                sent = _PORTS * hi[other] - sum(
+                    lo[kid] * (_PORTS - _heard(store, kid, parent))
+                    for kid in kids.get(other, ())
+                )
+                sent -= sum(lo[kid] * _heard(store, kid, other) for kid in siblings)
+                bounds.append(sent // mult)
+            if bounds:
+                hi[cid] = min(bounds)
+    return hi
+
+
+def _heard(store: _Store, cid: int, other: int) -> int:
+    """How many messages each member of class ``cid`` heard from ``other``."""
+    for observed, mult in store.defs[cid][2]:
+        if observed == other:
+            return mult
+    return 0
 
 
 def _try_accept(store: _Store, chain: List[int], top: int) -> Optional[int]:
-    """The leader's acceptance test; returns the count or ``None``.
+    """The leader's acceptance test at round ``top``; the count or ``None``.
 
-    First a non-strict pass over the whole tree extracts a candidate
-    ``c``; then a strict pass restricted to levels at least ``c − 1``
-    rounds old — complete at the leader by 1-interval connectivity if
-    ``c >= n`` — must re-derive the same total on the last
-    :data:`_WINDOW` fully-sized levels without any inconsistency.
+    Every class at level ``ℓ`` that the leader knows stands for all its
+    members, so the view covers ``m(ℓ)`` processors there, and
+    ``m(ℓ − 1) > m(ℓ)`` while level ``ℓ`` still misses someone (each
+    round's graph is connected, so a covered processor heard an uncovered
+    one, whose previous class it recorded).  The leader's own class
+    covers it at level ``top``, hence an incomplete level ``ℓ`` has
+    ``m(ℓ) ≥ top − ℓ + 1``.  If the certified upper bounds of level
+    ``ℓ``'s classes sum to ``H`` with ``top ≥ ℓ + H``, then
+    ``m(ℓ) ≤ H < top − ℓ + 1`` and level ``ℓ`` is complete: its
+    equations are exact, and the sizes they pin down add up to ``n``.
+    No candidate is trusted before its level is proven complete, so no
+    count below ``n`` can be accepted.
     """
-    sizes = _propagate(store, chain, top, strict=False)
-    assert sizes is not None  # non-strict never rejects
-    totals = _level_totals(store, sizes, top)
-    for candidate in sorted(set(totals.values()), reverse=True):
-        cut = top - (candidate - 1)
-        if cut < 1:
+    hi = _upper_bounds(store, chain, top)
+    for level in range(top, -1, -1):
+        ids = store.levels[level]
+        if any(cid not in hi for cid in ids):
             continue
-        strict_sizes = _propagate(store, chain, cut, strict=True)
-        if strict_sizes is None:
+        if top < level + sum(hi[cid] for cid in ids):
             continue
-        strict_totals = _level_totals(store, strict_sizes, cut)
-        solved = sorted(strict_totals)
-        if len(solved) < _WINDOW:
-            continue
-        window = solved[-_WINDOW:]
-        if window[-1] - window[0] != _WINDOW - 1:
-            continue  # the window must be consecutive levels
-        if any(strict_totals[level] != candidate for level in window):
-            continue
-        return candidate
+        sizes = _propagate(store, chain, level)
+        if sizes is not None and all(cid in sizes for cid in ids):
+            return sum(sizes[cid] for cid in ids)
     return None
 
 

@@ -571,8 +571,15 @@ def run_fuzz(
     forces the generator engine, and the report bytes are identical
     either way.
     """
+    if runner is None:
+        with Runner(jobs=jobs) as owned:
+            return run_fuzz(
+                seed, targets, sizes, profiles, cases_per_campaign, runner=owned,
+                sync_targets=sync_targets,
+                sync_cases_per_campaign=sync_cases_per_campaign,
+                sync_engine=sync_engine,
+            )
     targets = targets if targets is not None else default_targets()
-    runner = runner if runner is not None else Runner(jobs=jobs)
     sync_section = run_sync_corpus(
         seed,
         targets=sync_targets,

@@ -307,6 +307,9 @@ def run_analysis_bench(
     in-process.  Raises if an engine/naive pair at the same
     ``(workload, n)`` disagrees on its checksum.
     """
+    if runner is None:
+        with Runner(jobs=jobs) as owned:
+            return run_analysis_bench(quick, repeats, workloads, runner=owned)
     if repeats is None:
         repeats = 1 if quick else 2
     named = {(w.name, w.impl): w for w in default_analysis_workloads()}
@@ -316,8 +319,6 @@ def run_analysis_bench(
         sweep = workload.quick_sizes if quick else workload.sizes
         grid.extend((workload, n) for n in sweep)
     if all(named.get((w.name, w.impl)) == w for w, _ in grid):
-        if runner is None:
-            runner = Runner(jobs=jobs)
         calls = [
             TaskCall(
                 func="repro.perf.analysis:measure_analysis_named",

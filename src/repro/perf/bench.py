@@ -269,6 +269,9 @@ def run_bench(
     they always run in-process.  Records come back in grid order
     regardless of worker interleaving.
     """
+    if runner is None:
+        with Runner(jobs=jobs) as owned:
+            return run_bench(quick, repeats, sizes, workloads, runner=owned)
     if repeats is None:
         repeats = 1 if quick else 3
     named = {workload.name: workload for workload in default_workloads()}
@@ -280,8 +283,6 @@ def run_bench(
         )
         grid.extend((workload, n) for n in sweep)
     if all(named.get(workload.name) == workload for workload, _ in grid):
-        if runner is None:
-            runner = Runner(jobs=jobs)
         calls = [
             TaskCall(
                 func="repro.perf.bench:measure_named",

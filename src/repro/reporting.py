@@ -639,7 +639,8 @@ def run_all(
     byte-identical for every job count.
     """
     if runner is None:
-        runner = Runner(jobs=jobs)
+        with Runner(jobs=jobs) as owned:
+            return run_all(quick=quick, runner=owned)
     calls = [
         TaskCall(
             func="repro.reporting:run_experiment",

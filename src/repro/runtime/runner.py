@@ -1,6 +1,6 @@
 """Parallel, deterministic batch execution with result caching.
 
-A :class:`Runner` maps batches of work over a ``multiprocessing`` pool
+A :class:`Runner` maps batches of work over one long-lived process pool
 (or in-process for ``jobs=1``) and guarantees **bit-identical results
 regardless of worker count or completion order**.  The contract that
 makes this possible:
@@ -13,8 +13,17 @@ makes this possible:
   :func:`derive_seed`, a pure function of string coordinates (it uses
   :class:`random.Random`'s string seeding, not ``hash()``, so it is
   stable across processes and ``PYTHONHASHSEED`` values);
-* results are returned in submission order (``pool.map`` semantics), so
-  downstream assembly never observes completion order.
+* results are returned in submission order, so downstream assembly
+  never observes completion order.
+
+The pool (a fork-context :class:`~concurrent.futures.ProcessPoolExecutor`
+with ``jobs`` workers) starts on the first parallel batch and lives until
+:meth:`Runner.close` or the end of a ``with Runner(...)`` block, so every
+batch after the first runs on warm workers.  Concurrent :meth:`Runner.map`
+calls from several threads share it.  A worker that dies breaks the pool:
+the runs in flight on it fail with
+:class:`~concurrent.futures.process.BrokenProcessPool`, and the next batch
+starts a fresh pool.
 
 When the runner holds a :class:`~repro.runtime.cache.ResultCache`, tasks
 carrying a ``cache_key`` are looked up before dispatch and stored after;
@@ -28,9 +37,14 @@ from __future__ import annotations
 
 import importlib
 import json
+import multiprocessing
+import os
 import random
 import sys
+import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from hashlib import sha256
 from pathlib import Path
@@ -103,20 +117,37 @@ def resolve(func_ref: str) -> Callable[..., Any]:
 
 
 def invoke(call: TaskCall) -> Any:
-    """Execute one task call (also the pool worker entry point)."""
+    """Execute one task call in the calling process."""
     return resolve(call.func)(*call.args)
 
 
 def invoke_timed(call: TaskCall) -> Tuple[float, Any]:
     """Like :func:`invoke`, returning ``(wall_seconds, value)``.
 
-    The pool worker entry point when the runner collects telemetry: the
+    The task entry point, in-process and in pool workers alike: the
     timing rides back with the result so the parent never has to guess
     how long a worker actually spent.
     """
     start = time.perf_counter()
     value = resolve(call.func)(*call.args)
     return time.perf_counter() - start, value
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Pool-worker initializer: end the worker once its parent is gone.
+
+    A parent that is killed cannot shut its pool down, and an idle
+    worker would wait on the task queue forever.  A daemon thread polls
+    the parent pid and exits the worker within a second of the parent's
+    death.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(1.0)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
 
 
 @dataclass(frozen=True)
@@ -177,7 +208,9 @@ class Runner:
 
     Attributes:
         jobs: worker processes; ``1`` (the default) runs in-process with
-            zero pool overhead.  Results are identical either way.
+            zero pool overhead.  Results are identical either way.  With
+            ``jobs > 1`` the pool outlives each batch: release it with
+            :meth:`close` or by using the runner as a context manager.
         cache: optional on-disk result cache consulted for tasks that
             carry a ``cache_key``.
         progress: emit one-line progress reports to stderr as tasks
@@ -197,6 +230,29 @@ class Runner:
     progress: bool = False
     executed: int = field(default=0, compare=False)
     batches: List[Dict[str, Any]] = field(default_factory=list, compare=False)
+    _pool: Optional[ProcessPoolExecutor] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
+
+    def __enter__(self) -> "Runner":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Stop the worker pool, if one is running; the runner stays usable.
+
+        Waits for tasks already running on the pool.  A later parallel
+        batch starts a new pool.
+        """
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
     def map(self, calls: Sequence[TaskCall]) -> List[Any]:
         """Run a batch; results come back in submission order."""
@@ -262,7 +318,6 @@ class Runner:
             _Progress(len(calls), cached + deduped, self.jobs)
         # The erroring task itself did execute (it ran and raised).
         executed = completed + (1 if error is not None else 0)
-        self.executed += executed
         for index, owner in fanout:
             results[index] = results[owner]
 
@@ -277,14 +332,7 @@ class Runner:
         }
         if error is not None:
             batch["error"] = repr(error)
-        if self.cache is not None:
-            batch["cache"] = {
-                "hits": self.cache.hits - counters_before[0],
-                "misses": self.cache.misses - counters_before[1],
-                "writes": self.cache.writes - counters_before[2],
-            }
-            self.cache.flush_counters()
-        self.batches.append(batch)
+        self._record(batch, executed, counters_before)
         if error is not None:
             if completed < len(pending):
                 # Which submitted call failed — pending is consumed in
@@ -298,33 +346,78 @@ class Runner:
             raise error
         return results
 
+    def _record(
+        self, batch: Dict[str, Any], executed: int, counters_before: Tuple[int, int, int]
+    ) -> None:
+        """Append one batch's telemetry (thread-safe: maps may overlap)."""
+        with self._lock:
+            self.executed += executed
+            if self.cache is not None:
+                batch["cache"] = {
+                    "hits": self.cache.hits - counters_before[0],
+                    "misses": self.cache.misses - counters_before[1],
+                    "writes": self.cache.writes - counters_before[2],
+                }
+                self.cache.flush_counters()
+            self.batches.append(batch)
+
     def _outcomes(self, calls, reporter):
         """Yield ``(seconds, value)`` per call as each completes, in order."""
-        if self.jobs > 1 and len(calls) > 1:
-            yield from self._map_pool(calls, reporter)
-            return
-        for call in calls:
-            outcome = invoke_timed(call)
+        outcomes = self._map_pool(calls) if self.jobs > 1 else map(invoke_timed, calls)
+        for outcome in outcomes:
             if reporter is not None:
                 reporter.advance(outcome[0])
             yield outcome
 
-    def _map_pool(
-        self, calls: List[TaskCall], reporter: Optional["_Progress"] = None
-    ):
-        import multiprocessing
+    def _map_pool(self, calls: List[TaskCall]):
+        """Run ``calls`` on the shared pool, yielding outcomes in submission order.
 
-        # ``pool.imap`` preserves submission order whatever the completion
-        # order, which is half of the determinism contract (the other
-        # half is that every task is a pure function of its arguments);
-        # unlike ``pool.map`` it yields results as the head of the line
-        # finishes, which is what lets progress report mid-batch and lets
-        # :meth:`map` cache each result the moment it lands.
-        with multiprocessing.Pool(processes=self.jobs) as pool:
-            for outcome in pool.imap(invoke_timed, calls, chunksize=1):
-                if reporter is not None:
-                    reporter.advance(outcome[0])
-                yield outcome
+        Every call is submitted up front, so workers never wait on this
+        thread; results are yielded as the head of the line finishes,
+        which lets :meth:`map` cache each result the moment it lands.
+        Calls still queued when the batch stops early are cancelled.
+        """
+        pool, futures = self._submit(calls)
+        try:
+            for future in futures:
+                yield future.result()
+        except BrokenProcessPool:
+            self._discard(pool)
+            raise
+        finally:
+            for future in futures:
+                future.cancel()
+
+    def _submit(self, calls: List[TaskCall]):
+        """Hand every call to the pool; returns ``(pool, futures)``."""
+        pool = self._live_pool()
+        try:
+            return pool, [pool.submit(invoke_timed, call) for call in calls]
+        except BrokenProcessPool:
+            # The pool broke before or while this batch was handed over (a
+            # worker died during an earlier batch): hand it all to a new one.
+            self._discard(pool)
+            pool = self._live_pool()
+            return pool, [pool.submit(invoke_timed, call) for call in calls]
+
+    def _live_pool(self) -> ProcessPoolExecutor:
+        """The current pool, started on first use (fork, ``jobs`` workers)."""
+        with self._lock:
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.jobs,
+                    mp_context=multiprocessing.get_context("fork"),
+                    initializer=_exit_with_parent,
+                    initargs=(os.getpid(),),
+                )
+            return self._pool
+
+    def _discard(self, pool: ProcessPoolExecutor) -> None:
+        """Forget a broken pool (if still current) and reap its workers."""
+        with self._lock:
+            if self._pool is pool:
+                self._pool = None
+        pool.shutdown(wait=True, cancel_futures=True)
 
     def metrics_snapshot(self) -> Dict[str, Any]:
         """Aggregate sweep telemetry as a JSON-able dict.
@@ -465,7 +558,6 @@ class Runner:
         failure: Optional[Tuple[int, BaseException]] = None
         if pending:
             outcomes = run_batch_outcomes([spec for _, spec, _ in pending])
-            self.executed += len(pending)
             for (index, spec, key), outcome in zip(pending, outcomes):
                 if isinstance(outcome, BaseException):
                     if failure is None:
@@ -488,14 +580,7 @@ class Runner:
         }
         if failure is not None:
             batch["error"] = repr(failure[1])
-        if self.cache is not None:
-            batch["cache"] = {
-                "hits": self.cache.hits - counters_before[0],
-                "misses": self.cache.misses - counters_before[1],
-                "writes": self.cache.writes - counters_before[2],
-            }
-            self.cache.flush_counters()
-        self.batches.append(batch)
+        self._record(batch, len(pending), counters_before)
         return failure
 
     def run_sweep(self, sweep: Sweep) -> List[RunResult]:

@@ -6,15 +6,15 @@
 :class:`~repro.runtime.cache.CacheBackend` — into a many-tenant
 service: JSON-encoded spec batches come in over HTTP, warm digests are
 answered straight from the cache without executing anything, cold specs
-flow through a bounded job queue (backpressure: ``429 Retry-After``)
-drained by the runner's worker processes, and per-run status plus the
+(bounded in flight, backpressure: ``429 Retry-After``) run on the
+runner's long-lived worker pool, and per-run status plus the
 recorded :mod:`repro.obs` event streams go back as newline-delimited
 JSON.  Results on the wire are the *same bytes* local execution
 produces: pickle-equal to ``Runner.run_specs`` on the same specs.
 
 Layers (each its own module, no third-party dependencies anywhere):
 
-* :mod:`repro.serve.gateway` — queue, backpressure, drain, cache policy;
+* :mod:`repro.serve.gateway` — admission, backpressure, dispatch, cache policy;
 * :mod:`repro.serve.http`    — minimal asyncio HTTP/1.1 + NDJSON streaming;
 * :mod:`repro.serve.protocol` — the wire-format line schemas;
 * :mod:`repro.serve.worker`  — the pool-side outcome wrapper;

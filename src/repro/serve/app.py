@@ -26,7 +26,6 @@ async def run_server(
     port: int = 0,
     jobs: int = 1,
     queue_limit: int = 256,
-    chunk: int = 16,
     cache: Optional[CacheBackend] = None,
     on_ready: Optional[Callable[[HttpServer, Gateway], None]] = None,
     stop: Optional["asyncio.Event"] = None,
@@ -34,12 +33,11 @@ async def run_server(
     """Serve until ``stop`` fires (or forever); always shuts down cleanly.
 
     Clean shutdown means: the HTTP listener closes first (no new
-    submissions), then the gateway drains every queued job through the
-    runner before the worker pool is released — a stopping service never
-    abandons admitted work.
+    submissions), then the gateway finishes every job in flight before
+    the worker pool is released — a stopping service never abandons
+    admitted work.
     """
-    gateway = Gateway(cache=cache, jobs=jobs, queue_limit=queue_limit, chunk=chunk)
-    await gateway.start()
+    gateway = Gateway(cache=cache, jobs=jobs, queue_limit=queue_limit)
     server = HttpServer(gateway, host=host, port=port)
     await server.start()
     if on_ready is not None:
@@ -59,7 +57,7 @@ class ServerThread:
 
     ``start()`` blocks until the port is bound; ``url`` then points at
     the listening server.  ``stop()`` (or leaving the ``with`` block)
-    performs the same drain-then-release shutdown as the CLI.
+    performs the same finish-then-release shutdown as the CLI.
     """
 
     def __init__(
@@ -67,13 +65,11 @@ class ServerThread:
         cache: Optional[CacheBackend] = None,
         jobs: int = 1,
         queue_limit: int = 256,
-        chunk: int = 16,
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
         self._kwargs = dict(
-            cache=cache, jobs=jobs, queue_limit=queue_limit, chunk=chunk,
-            host=host, port=port,
+            cache=cache, jobs=jobs, queue_limit=queue_limit, host=host, port=port
         )
         self.url: Optional[str] = None
         self.gateway: Optional[Gateway] = None

@@ -1,45 +1,50 @@
-"""The gateway core: warm answers, a bounded cold queue, a Runner drain.
+"""The gateway core: warm answers, a bounded set of cold jobs, one Runner.
 
 The data path, independent of HTTP:
 
-1. :meth:`Gateway.submit` digests every spec of a batch, answers warm
-   digests straight from the shared cache (no execution, no queueing),
-   dedupes identical cold digests within the batch, and enqueues the
-   rest — or raises :class:`QueueFull` when the bounded queue cannot
-   take them (the HTTP layer turns that into ``429 Retry-After``).
-2. A single drainer task pops queued jobs in chunks and hands each chunk
-   to the existing :class:`~repro.runtime.runner.Runner` on an executor
-   thread; the runner fans the chunk over its worker processes exactly
-   like any local sweep (same determinism contract, same telemetry).
+1. :meth:`Gateway.submit` digests every spec of a batch and answers warm
+   digests straight from the shared cache (no execution, no queueing).
+   A cold digest that is already in flight — from this batch or from
+   another request — shares that job instead of running again.  The
+   remaining cold specs become new jobs, or the whole batch is refused
+   with :class:`QueueFull` when they would not fit under
+   ``queue_limit`` (the HTTP layer turns that into ``429 Retry-After``).
+2. The batch's new jobs go straight to the gateway's
+   :class:`~repro.runtime.runner.Runner` as one :meth:`Runner.map` call on
+   a worker thread.  Concurrent requests share the runner's long-lived
+   worker pool, so a request never waits for another request's batch to
+   finish before its own specs start (same determinism contract, same
+   telemetry as any local sweep).
 3. Completed results are stored in the cache under their spec digest —
    so the *next* tenant asking for the same spec is a warm answer — and
    each job's future resolves, which is what the streaming HTTP response
    awaits.
 
 Failures stay per-job: a failing spec resolves its future with a
-:class:`RunError` and is never cached; other jobs of the chunk are
-unaffected (see :mod:`repro.serve.worker`).
+:class:`RunError` and is never cached; its batchmates are unaffected
+(see :mod:`repro.serve.worker`).  A worker process that dies breaks the
+runner's pool: every job of the batches then in flight fails with a
+:class:`RunError`, nothing of them is cached, and the next batch runs on
+a fresh pool.
 """
 
 from __future__ import annotations
 
 import asyncio
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Set
 
 from ..runtime.cache import CacheBackend
 from ..runtime.runner import Runner, TaskCall
 from ..runtime.spec import RunSpec
-from .worker import OK
+from .worker import ERR, OK
 
 
 class QueueFull(RuntimeError):
-    """The bounded job queue cannot accept a submission right now.
+    """The gateway cannot accept a submission's cold jobs right now.
 
     Attributes:
-        pending: cold specs currently queued or running.
+        pending: cold specs currently in flight.
         limit: the queue bound.
         retry_after: advisory seconds before a retry is likely to fit.
     """
@@ -64,7 +69,8 @@ class RunEntry:
 
     ``status`` is ``"cached"`` (warm answer, ``result`` already set) or
     ``"queued"`` (``future`` resolves to the result, or to
-    :class:`RunError`).  Batch-internal duplicates share one future.
+    :class:`RunError`).  Entries for the same cold digest share one
+    future, within a batch and across concurrent batches.
     """
 
     index: int
@@ -88,18 +94,14 @@ class Gateway:
     Attributes:
         cache: shared result cache (any backend), or ``None`` to run
             everything cold.
-        jobs: worker processes the drain runner fans chunks over.
-        queue_limit: max cold specs queued-or-running at once; beyond it
+        jobs: worker processes in the runner's pool.
+        queue_limit: max distinct cold specs in flight at once; beyond it
             :meth:`submit` raises :class:`QueueFull`.
-        chunk: max jobs handed to the runner per drain round — small
-            enough to keep per-run status flowing, large enough to
-            amortize pool dispatch.
     """
 
     cache: Optional[CacheBackend] = None
     jobs: int = 1
     queue_limit: int = 256
-    chunk: int = 16
     submitted: int = field(default=0, init=False)
     completed: int = field(default=0, init=False)
     failed: int = field(default=0, init=False)
@@ -108,52 +110,36 @@ class Gateway:
 
     def __post_init__(self) -> None:
         self.runner = Runner(jobs=self.jobs, cache=self.cache)
-        self._queue: Deque[_Job] = deque()
-        self._pending = 0
+        self._inflight: Dict[str, "asyncio.Future[Any]"] = {}
+        self._dispatches: Set["asyncio.Task[None]"] = set()
         self._closed = False
-        self._wakeup: Optional[asyncio.Event] = None
-        self._drainer: Optional["asyncio.Task[None]"] = None
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve-drain"
-        )
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-
-    async def start(self) -> None:
-        """Start the drainer task (call from the running event loop)."""
-        self._wakeup = asyncio.Event()
-        self._drainer = asyncio.get_running_loop().create_task(self._drain())
 
     async def close(self) -> None:
-        """Stop accepting work, drain what is queued, release the pool."""
+        """Stop accepting work, finish what is in flight, release the pool."""
         self._closed = True
-        if self._wakeup is not None:
-            self._wakeup.set()
-        if self._drainer is not None:
-            await self._drainer
-        self._executor.shutdown(wait=True)
+        while self._dispatches:
+            await asyncio.wait(set(self._dispatches))
+        self.runner.close()
 
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
 
     def submit(self, specs: Sequence[RunSpec]) -> List[RunEntry]:
-        """Admit a batch: warm answers now, cold jobs onto the queue.
+        """Admit a batch: warm answers now, cold jobs to the runner.
 
         Must be called from the event-loop thread.  All-or-nothing
-        backpressure: either every cold spec of the batch fits under
+        backpressure: either every new cold job of the batch fits under
         ``queue_limit`` or the whole submission is rejected with
         :class:`QueueFull` — partial admission would leave the client
-        with an unresumable half-batch.
+        with an unresumable half-batch.  A digest already in flight
+        joins that job and takes no extra room.
         """
         if self._closed:
             raise RuntimeError("gateway is shutting down")
         loop = asyncio.get_running_loop()
         entries: List[RunEntry] = []
-        owners: Dict[str, "asyncio.Future[Any]"] = {}
-        fresh: List[_Job] = []
+        fresh: Dict[str, _Job] = {}
         for index, spec in enumerate(specs):
             digest = spec.digest()
             if self.cache is not None:
@@ -164,77 +150,66 @@ class Gateway:
                         RunEntry(index=index, digest=digest, status="cached", result=value)
                     )
                     continue
-            future = owners.get(digest)
+            future = self._inflight.get(digest)
             if future is None:
-                future = loop.create_future()
-                owners[digest] = future
-                fresh.append(_Job(digest=digest, spec=spec, future=future))
+                job = fresh.get(digest)
+                if job is None:
+                    job = fresh[digest] = _Job(digest, spec, loop.create_future())
+                future = job.future
             entries.append(
                 RunEntry(index=index, digest=digest, status="queued", future=future)
             )
-        if self._pending + len(fresh) > self.queue_limit:
+        pending = len(self._inflight)
+        if pending + len(fresh) > self.queue_limit:
             self.rejected += 1
-            retry_after = max(1, self._pending // max(1, self.jobs))
-            raise QueueFull(self._pending, self.queue_limit, retry_after)
-        for job in fresh:
-            self._queue.append(job)
-            self._pending += 1
+            retry_after = max(1, pending // max(1, self.jobs))
+            raise QueueFull(pending, self.queue_limit, retry_after)
         self.submitted += len(specs)
-        if fresh and self._wakeup is not None:
-            self._wakeup.set()
+        if fresh:
+            jobs = list(fresh.values())
+            for job in jobs:
+                self._inflight[job.digest] = job.future
+            task = loop.create_task(self._dispatch(jobs))
+            self._dispatches.add(task)
+            task.add_done_callback(self._dispatches.discard)
         return entries
 
     # ------------------------------------------------------------------
-    # Drain
+    # Dispatch
     # ------------------------------------------------------------------
 
-    async def _drain(self) -> None:
+    async def _dispatch(self, jobs: List[_Job]) -> None:
+        """Run one batch's new jobs on a thread; resolve their futures."""
         loop = asyncio.get_running_loop()
-        assert self._wakeup is not None
-        while True:
-            if not self._queue:
-                if self._closed:
-                    return
-                self._wakeup.clear()
-                await self._wakeup.wait()
-                continue
-            chunk = [
-                self._queue.popleft()
-                for _ in range(min(self.chunk, len(self._queue)))
-            ]
-            try:
-                outcomes = await loop.run_in_executor(
-                    self._executor, self._run_chunk, chunk
-                )
-            except Exception as exc:  # noqa: BLE001 - chunk-wide failure
-                outcomes = [("err", f"{type(exc).__name__}: {exc}")] * len(chunk)
-            for job, (tag, value) in zip(chunk, outcomes):
-                self._pending -= 1
-                if job.future.cancelled():
-                    continue
-                if tag == OK:
-                    self.completed += 1
-                    job.future.set_result(value)
-                else:
-                    self.failed += 1
-                    job.future.set_exception(RunError(value))
+        try:
+            outcomes = await loop.run_in_executor(None, self._execute, jobs)
+        except Exception as exc:  # noqa: BLE001 - e.g. a broken worker pool
+            outcomes = [(ERR, f"{type(exc).__name__}: {exc}")] * len(jobs)
+        for job, (tag, value) in zip(jobs, outcomes):
+            del self._inflight[job.digest]
+            if tag == OK:
+                self.completed += 1
+                job.future.set_result(value)
+            else:
+                self.failed += 1
+                job.future.set_exception(RunError(value))
 
-    def _run_chunk(self, chunk: List[_Job]) -> List[Any]:
-        """Executor-thread body: one Runner batch, cache puts on success.
+    def _execute(self, jobs: List[_Job]) -> List[Any]:
+        """Thread body: one Runner batch, cache puts on success.
 
         The task calls carry no ``cache_key`` — outcome tuples must not
         be auto-cached under spec digests (an error outcome would poison
         the slot) — so the gateway stores successful results itself.
-        The runner still records the chunk's telemetry, and ``map``
+        The runner still records the batch's telemetry, and ``map``
         flushes the cache's lifetime counters.
         """
         calls = [
             TaskCall(func="repro.serve.worker:execute_outcome", args=(job.spec,))
-            for job in chunk
+            for job in jobs
         ]
         outcomes = self.runner.map(calls)
         if self.cache is not None:
-            for job, (tag, value) in zip(chunk, outcomes):
+            for job, (tag, value) in zip(jobs, outcomes):
                 if tag == OK:
                     self.cache.put(job.digest, value)
         return outcomes
@@ -246,11 +221,7 @@ class Gateway:
     def stats(self) -> Dict[str, Any]:
         """Queue, counter, cache, and runner telemetry as JSON-able data."""
         return {
-            "queue": {
-                "pending": self._pending,
-                "limit": self.queue_limit,
-                "chunk": self.chunk,
-            },
+            "queue": {"pending": len(self._inflight), "limit": self.queue_limit},
             "submitted": self.submitted,
             "completed": self.completed,
             "failed": self.failed,

@@ -1,8 +1,8 @@
 """Pool-worker entry point for the gateway.
 
 The gateway cannot let a failing spec raise out of
-:meth:`~repro.runtime.runner.Runner.map` — one tenant's bad spec must
-not abort the chunk it shares with other tenants' jobs, and an error
+:meth:`~repro.runtime.runner.Runner.map` — one bad spec must not abort
+the rest of its batch, and an error
 must never be stored in the shared result cache under a spec digest.
 So gateway tasks return *outcomes*: ``("ok", result)`` or ``("err",
 message)`` tuples that always pickle back cleanly, and the gateway

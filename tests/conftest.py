@@ -3,11 +3,22 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from repro.core import RingConfiguration
+
+
+@pytest.fixture
+def subprocess_env() -> dict:
+    """Environment for a Python child: this checkout's sources, no ambient cache."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_CACHE")}
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture

@@ -10,14 +10,23 @@ test, verbatim from the issue:
 * warm cache entries are answered without executing anything;
 * queue-full returns 429 with a Retry-After;
 * per-run failures come back as per-run errors, never poison the cache,
-  and never hide their batchmates' results.
+  and never hide their batchmates' results;
+* a cold digest in flight is shared by every request that names it;
+* a killed pool worker fails only the runs in flight, within a bounded
+  time, and the gateway keeps serving on a fresh pool.
 """
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
+import multiprocessing
+import os
 import pickle
+import signal
+import threading
+import time
 from urllib.parse import urlsplit
 
 import pytest
@@ -25,6 +34,7 @@ import pytest
 from repro.core import RingConfiguration
 from repro.runtime import Runner, RunSpec, SqliteResultCache
 from repro.serve import (
+    Gateway,
     ServeClientError,
     ServerQueueFull,
     ServerThread,
@@ -169,7 +179,7 @@ class TestHttpSurface:
     def test_health_and_stats(self, server):
         assert check_health(server.url)
         stats = fetch_stats(server.url)
-        assert stats["queue"]["limit"] == 256
+        assert stats["queue"] == {"pending": 0, "limit": 256}
         assert stats["cache"]["backend"] == "sqlite"
         assert stats["runner"]["jobs"] == 1
 
@@ -231,3 +241,95 @@ class TestLifecycle:
         local = Runner().run_specs(specs)
         for outcome, expected in zip(pooled, local):
             assert pickle.dumps(outcome.result) == pickle.dumps(expected)
+
+
+def _slow_spec(n: int) -> RunSpec:
+    """An async §4.1 input distribution: n(n−1) deliveries, slow at large n."""
+    return RunSpec.make(
+        engine="async",
+        ring=RingConfiguration.oriented((1,) * n),
+        algorithm="input-distribution",
+    )
+
+
+class TestSharedInflightJobs:
+    def test_one_digest_in_two_batches_is_one_job(self, tmp_path):
+        spec = _spec((1, 0, 1, 1))
+
+        async def scenario():
+            gateway = Gateway(cache=SqliteResultCache(tmp_path), queue_limit=1)
+            first = gateway.submit([spec])
+            # The shared job counts once against the limit of 1.
+            second = gateway.submit([spec, spec])
+            assert first[0].future is second[0].future is second[1].future
+            assert gateway.stats()["queue"]["pending"] == 1
+            result = await first[0].future
+            await gateway.close()
+            return gateway, result
+
+        gateway, result = asyncio.run(scenario())
+        assert gateway.runner.executed == 1
+        assert gateway.stats()["queue"]["pending"] == 0
+        assert gateway.completed == 1
+        assert pickle.dumps(result) == pickle.dumps(Runner().run_specs([spec])[0])
+
+    def test_concurrent_requests_for_one_cold_spec_run_it_once(self, tmp_path):
+        spec = _slow_spec(300)  # long enough for both requests to overlap
+        with ServerThread(cache=SqliteResultCache(tmp_path), jobs=2) as srv:
+            barrier = threading.Barrier(2)
+            outcomes = [None, None]
+
+            def client(slot: int) -> None:
+                barrier.wait()
+                outcomes[slot] = submit_specs(srv.url, [spec], timeout=120)[0]
+
+            threads = [threading.Thread(target=client, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+            assert [o.status for o in outcomes] == ["done", "done"]
+            assert pickle.dumps(outcomes[0].result) == pickle.dumps(outcomes[1].result)
+            assert srv.gateway.runner.executed == 1
+            assert fetch_stats(srv.url)["completed"] == 1
+
+
+class TestWorkerDeath:
+    def test_killed_worker_fails_its_runs_and_the_pool_recovers(self, tmp_path):
+        slow = _slow_spec(1000)  # seconds of work: still running when killed
+        before = {child.pid for child in multiprocessing.active_children()}
+        cache = SqliteResultCache(tmp_path)
+        with ServerThread(cache=cache, jobs=2) as srv:
+            box = {}
+            request = threading.Thread(
+                target=lambda: box.update(out=submit_specs(srv.url, [slow], timeout=60)),
+                daemon=True,
+            )
+            started = time.monotonic()
+            request.start()
+            workers = []
+            while len(workers) < 2 and time.monotonic() - started < 10:
+                time.sleep(0.05)
+                workers = [
+                    child for child in multiprocessing.active_children()
+                    if child.pid not in before
+                ]
+            assert len(workers) == 2, "the gateway's pool never started"
+            time.sleep(0.3)
+            assert fetch_stats(srv.url)["queue"]["pending"] == 1
+            os.kill(workers[0].pid, signal.SIGKILL)
+            request.join(30)
+            assert not request.is_alive(), "request hung after a worker was killed"
+            assert time.monotonic() - started < 30
+
+            [outcome] = box["out"]
+            assert outcome.status == "error"
+            assert "BrokenProcessPool" in outcome.error
+            assert cache.get(slow.digest()) == (False, None)
+            stats = fetch_stats(srv.url)
+            assert stats["failed"] == 1
+            assert stats["queue"]["pending"] == 0
+
+            # The next request runs on a rebuilt pool.
+            after = submit_specs(srv.url, [_spec((1, 1, 0, 1))])
+            assert [o.status for o in after] == ["done"]
