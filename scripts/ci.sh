@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 tests plus quick-mode smoke runs of both bench
+# CI entry point: tier-1 tests, the repo benchmark's own tests and a
+# short checked run of it, plus quick-mode smoke runs of both bench
 # suites and the symmetry-analysis pytest-benchmarks, so the perf
-# harness itself is exercised on every PR.
+# harnesses themselves are exercised on every PR.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -18,6 +19,14 @@ fi
 
 echo "== tier-1 tests =="
 python -m pytest -x -q
+
+echo "== repo benchmark harness tests (perfbench/, outside tier-1's testpaths) =="
+python -m pytest perfbench -q
+
+echo "== repo benchmark smoke (serve_cold, 5 s, every result checked) =="
+# A real `serve --jobs 2` child under the closed loop; exits nonzero when
+# any served result or streamed event count differs from a local execute.
+python3 perfbench/run.py --workload serve_cold --seed 1 --seconds 5 --trace 0
 
 echo "== bench smoke (quick, --jobs 2) =="
 python -m repro bench --quick --jobs 2 --output BENCH_smoke.json

@@ -16,8 +16,8 @@ Layers (each its own module, no third-party dependencies anywhere):
 
 * :mod:`repro.serve.gateway` — admission, backpressure, dispatch, cache policy;
 * :mod:`repro.serve.http`    — minimal asyncio HTTP/1.1 + NDJSON streaming;
-* :mod:`repro.serve.protocol` — the wire-format line schemas;
-* :mod:`repro.serve.worker`  — the pool-side outcome wrapper;
+* :mod:`repro.serve.protocol` — the encoded run and the wire-format line schemas;
+* :mod:`repro.serve.worker`  — the pool-side run, encoded once where it ran;
 * :mod:`repro.serve.client`  — blocking stdlib client (CLI, tests, CI);
 * :mod:`repro.serve.app`     — assembly: event loop, server thread, CLI.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import http.client
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 from urllib.parse import urlsplit
 
 from ..runtime.spec import RunSpec
@@ -55,6 +55,35 @@ class RunOutcome:
     @property
     def ok(self) -> bool:
         return self.status in ("cached", "done")
+
+
+#: Bytes asked for per read of a streamed response body.
+READ_BLOCK = 1 << 16
+
+
+def _messages(response: http.client.HTTPResponse) -> Iterator[Dict[str, Any]]:
+    """The body's NDJSON objects, block by block as they arrive.
+
+    ``read1`` returns what one read of the socket gives (http.client
+    undoes the chunked framing).  The complete lines of each block are
+    parsed together as one JSON array: one ``json.loads`` per block
+    rather than a ``readline`` and a ``json.loads`` per line.  A last
+    line without its newline is dropped, as only a cut stream ends so.
+    """
+    pieces: List[bytes] = []
+    while True:
+        block = response.read1(READ_BLOCK)
+        if not block:
+            break
+        cut = block.rfind(b"\n")
+        if cut < 0:
+            pieces.append(block)
+            continue
+        pieces.append(block[:cut])
+        lines = [line for line in b"".join(pieces).split(b"\n") if line.strip()]
+        pieces = [block[cut + 1:]]
+        if lines:
+            yield from json.loads(b"[" + b",".join(lines) + b"]")
 
 
 def _connect(url: str, timeout: float) -> http.client.HTTPConnection:
@@ -120,13 +149,7 @@ def submit_specs(
             )
         outcomes: List[Optional[RunOutcome]] = [None] * len(specs)
         done = False
-        # http.client decodes the chunked transfer; iterating the
-        # response yields NDJSON lines as the gateway flushes them.
-        for raw in response:
-            line = raw.strip()
-            if not line:
-                continue
-            data = json.loads(line)
+        for data in _messages(response):
             kind = data.get("type")
             if kind == "run":
                 index = data["index"]

@@ -15,10 +15,13 @@ The data path, independent of HTTP:
    worker pool, so a request never waits for another request's batch to
    finish before its own specs start (same determinism contract, same
    telemetry as any local sweep).
-3. Completed results are stored in the cache under their spec digest —
-   so the *next* tenant asking for the same spec is a warm answer — and
-   each job's future resolves, which is what the streaming HTTP response
-   awaits.
+3. Workers return each result already encoded
+   (:func:`~repro.serve.protocol.encode_run`).  The gateway stores the
+   worker's pickle bytes in the cache under the spec digest — so the
+   *next* tenant asking for the same spec is a warm answer — and each
+   job's future resolves to the encoded run, which is what the streaming
+   HTTP response awaits.  No cold result is unpickled or re-pickled
+   here; a warm hit is encoded from the cached result as it is streamed.
 
 Failures stay per-job: a failing spec resolves its future with a
 :class:`RunError` and is never cached; its batchmates are unaffected
@@ -31,12 +34,14 @@ a fresh pool.
 from __future__ import annotations
 
 import asyncio
+import pickle
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set
 
 from ..runtime.cache import CacheBackend
 from ..runtime.runner import Runner, TaskCall
 from ..runtime.spec import RunSpec
+from .protocol import EncodedRun
 from .worker import ERR, OK
 
 
@@ -67,24 +72,43 @@ class RunError(RuntimeError):
 class RunEntry:
     """One spec of a submitted batch, as the stream renderer consumes it.
 
-    ``status`` is ``"cached"`` (warm answer, ``result`` already set) or
-    ``"queued"`` (``future`` resolves to the result, or to
-    :class:`RunError`).  Entries for the same cold digest share one
-    future, within a batch and across concurrent batches.
+    ``status`` is ``"cached"`` (warm answer, ``result`` is the cached
+    result) or ``"queued"`` (``future`` resolves to the worker's
+    :class:`EncodedRun`, or to :class:`RunError`).  Entries for the same
+    cold digest share one future, within a batch and across concurrent
+    batches.
     """
 
     index: int
     digest: str
     status: str
     result: Any = None
-    future: Optional["asyncio.Future[Any]"] = None
+    future: Optional["asyncio.Future[EncodedRun]"] = None
 
 
 @dataclass
 class _Job:
     digest: str
     spec: RunSpec
-    future: "asyncio.Future[Any]"
+    future: "asyncio.Future[EncodedRun]"
+
+
+class _Pickled:
+    """A cache value given as its pickle bytes; it loads as the result.
+
+    ``cache.put`` pickles its value, and this one pickles to a call of
+    :func:`pickle.loads` on the bytes a worker already made: the entry
+    costs a copy to write, and every reader of the cache (a local
+    :class:`Runner` on the same root included) loads the plain result.
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: bytes) -> None:
+        self.data = data
+
+    def __reduce__(self) -> Any:
+        return (pickle.loads, (self.data,))
 
 
 @dataclass
@@ -110,7 +134,7 @@ class Gateway:
 
     def __post_init__(self) -> None:
         self.runner = Runner(jobs=self.jobs, cache=self.cache)
-        self._inflight: Dict[str, "asyncio.Future[Any]"] = {}
+        self._inflight: Dict[str, "asyncio.Future[EncodedRun]"] = {}
         self._dispatches: Set["asyncio.Task[None]"] = set()
         self._closed = False
 
@@ -199,9 +223,10 @@ class Gateway:
 
         The task calls carry no ``cache_key`` — outcome tuples must not
         be auto-cached under spec digests (an error outcome would poison
-        the slot) — so the gateway stores successful results itself.
-        The runner still records the batch's telemetry, and ``map``
-        flushes the cache's lifetime counters.
+        the slot) — so the gateway stores each successful result itself,
+        as the worker's pickle bytes.  The runner still records the
+        batch's telemetry, and ``map`` flushes the cache's lifetime
+        counters.
         """
         calls = [
             TaskCall(func="repro.serve.worker:execute_outcome", args=(job.spec,))
@@ -209,9 +234,9 @@ class Gateway:
         ]
         outcomes = self.runner.map(calls)
         if self.cache is not None:
-            for job, (tag, value) in zip(jobs, outcomes):
+            for job, (tag, run) in zip(jobs, outcomes):
                 if tag == OK:
-                    self.cache.put(job.digest, value)
+                    self.cache.put(job.digest, _Pickled(run.pickled))
         return outcomes
 
     # ------------------------------------------------------------------

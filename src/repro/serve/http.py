@@ -12,9 +12,11 @@ connection):
   ``400`` on malformed specs, and otherwise streams newline-delimited
   JSON (chunked transfer): one ``accepted`` line, then per-run lines in
   completion order — warm entries first, each carrying the
-  pickle-encoded result — interleaved with the run's recorded
+  pickle-encoded result — each followed by the run's recorded
   :mod:`repro.obs` events for ``record=True`` specs, closed by a
-  ``done`` line.  See ``docs/serve.md`` for the exact line schemas.
+  ``done`` line.  Each run (its ``run`` line and all its ``event``
+  lines) goes out as one chunk.  See ``docs/serve.md`` for the exact
+  line schemas.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core.errors import ConfigurationError
 from ..runtime.spec import RunSpec
 from .gateway import Gateway, QueueFull, RunEntry, RunError
-from .protocol import done_line, event_lines, run_line
+from .protocol import done_line, encode_run, error_line, ndjson, run_lines
 
 #: Largest accepted request body (a million-spec batch is a misuse).
 MAX_BODY_BYTES = 64 * 1024 * 1024
@@ -65,7 +67,10 @@ async def _read_request(
         name, sep, value = raw.decode("latin-1").partition(":")
         if sep:
             headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    raw_length = headers.get("content-length", "0") or "0"
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise _BadRequest(f"malformed Content-Length {raw_length!r}")
+    length = int(raw_length)
     if length > MAX_BODY_BYTES:
         raise _BadRequest(f"body of {length} bytes exceeds {MAX_BODY_BYTES}")
     body = await reader.readexactly(length) if length else b""
@@ -87,8 +92,7 @@ def _response_bytes(
 def _json_response(
     status: int, payload: Any, extra: Optional[Dict[str, str]] = None
 ) -> bytes:
-    body = (json.dumps(payload) + "\n").encode()
-    return _response_bytes(status, body, "application/json", extra)
+    return _response_bytes(status, ndjson(payload), "application/json", extra)
 
 
 class HttpServer:
@@ -199,7 +203,7 @@ class HttpServer:
     async def _stream_entries(
         self, writer: asyncio.StreamWriter, entries: List[RunEntry]
     ) -> None:
-        """The NDJSON chunked response: status lines as runs complete."""
+        """The NDJSON chunked response: one chunk per run, as runs complete."""
         cached = [entry for entry in entries if entry.status == "cached"]
         queued = [entry for entry in entries if entry.status == "queued"]
         writer.write(
@@ -208,14 +212,16 @@ class HttpServer:
             b"Transfer-Encoding: chunked\r\n"
             b"Connection: close\r\n\r\n"
         )
-        await self._chunk(
-            writer,
+        await self._chunk(writer, ndjson(
             {"type": "accepted", "runs": len(entries), "cached": len(cached),
              "queued": len(queued)},
-        )
+        ))
         failures = 0
         for entry in cached:  # warm answers flow immediately
-            await self._emit_run(writer, entry, entry.result, None)
+            # Encoded one by one as they go out, so the client decodes a
+            # run while the next one is encoded.
+            run = encode_run(entry.result)
+            await self._chunk(writer, run_lines(entry.index, entry.digest, "cached", run))
         by_future: Dict["asyncio.Future[Any]", List[RunEntry]] = {}
         for entry in queued:
             assert entry.future is not None
@@ -227,32 +233,18 @@ class HttpServer:
             )
             for future in done:
                 error = future.exception()
-                value = None if error is not None else future.result()
                 for entry in by_future[future]:
-                    if error is not None:
+                    if error is None:
+                        data = run_lines(entry.index, entry.digest, "done", future.result())
+                    else:
                         failures += 1
-                    await self._emit_run(writer, entry, value, error)
-        await self._chunk(
-            writer, done_line(runs=len(entries), failed=failures)
-        )
+                        message = str(error) if isinstance(error, RunError) else repr(error)
+                        data = ndjson(error_line(entry.index, entry.digest, message))
+                    await self._chunk(writer, data)
+        await self._chunk(writer, ndjson(done_line(runs=len(entries), failed=failures)))
         writer.write(b"0\r\n\r\n")
 
-    async def _emit_run(
-        self,
-        writer: asyncio.StreamWriter,
-        entry: RunEntry,
-        value: Any,
-        error: Optional[BaseException],
-    ) -> None:
-        if error is not None:
-            message = str(error) if isinstance(error, RunError) else repr(error)
-            await self._chunk(writer, run_line(entry, error=message))
-            return
-        await self._chunk(writer, run_line(entry, result=value))
-        for line in event_lines(entry, value):
-            await self._chunk(writer, line)
-
-    async def _chunk(self, writer: asyncio.StreamWriter, payload: Dict[str, Any]) -> None:
-        data = (json.dumps(payload) + "\n").encode()
+    async def _chunk(self, writer: asyncio.StreamWriter, data: bytes) -> None:
+        """One chunk of the chunked body, flushed."""
         writer.write(f"{len(data):X}\r\n".encode("ascii") + data + b"\r\n")
         await writer.drain()

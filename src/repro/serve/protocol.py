@@ -1,4 +1,4 @@
-"""NDJSON line schemas shared by the HTTP layer and the client.
+"""NDJSON line schemas, and the encoded run the run lines are built from.
 
 Every line of a ``POST /runs`` response is one JSON object with a
 ``type`` field:
@@ -18,27 +18,38 @@ Every line of a ``POST /runs`` response is one JSON object with a
   :func:`repro.obs.export.event_to_json` JSONL format, emitted directly
   after the run's ``run`` line.
 * ``{"type": "done", "runs": N, "failed": F}`` — exactly one, last.
+
+A successful run is encoded once, by :func:`encode_run`, into an
+:class:`EncodedRun`: the result's pickle bytes, its summary, and each
+recorded event's JSON text.  Cold runs are encoded in the pool worker
+that ran them (:mod:`repro.serve.worker`), so the gateway caches and
+streams those bytes without unpickling the result; warm hits are
+encoded from the cached result.  :func:`run_lines` renders one run — its
+``run`` line and all its ``event`` lines — as one block; every line is
+byte for byte the ``json.dumps`` of its object.
 """
 
 from __future__ import annotations
 
 import base64
+import json
 import pickle
-from typing import Any, Dict, Iterator, Optional
-
-from .gateway import RunEntry
+from typing import Any, Dict, NamedTuple, Tuple
 
 
-def encode_result(value: Any) -> str:
-    """Pickle + base64: the result bytes exactly as local execution pickles them."""
-    return base64.b64encode(
-        pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    ).decode("ascii")
+class EncodedRun(NamedTuple):
+    """A successful run in wire form (see module docstring).
 
+    Attributes:
+        pickled: ``pickle.dumps(result, HIGHEST_PROTOCOL)``.
+        summary: the run line's ``summary`` object.
+        events: ``json.dumps(event_to_json(event))`` per recorded event,
+            in ``seq`` order (empty when the run recorded nothing).
+    """
 
-def decode_result(data: str) -> Any:
-    """Invert :func:`encode_result`."""
-    return pickle.loads(base64.b64decode(data.encode("ascii")))
+    pickled: bytes
+    summary: Dict[str, Any]
+    events: Tuple[str, ...]
 
 
 def _summary(value: Any) -> Dict[str, Any]:
@@ -52,34 +63,52 @@ def _summary(value: Any) -> Dict[str, Any]:
     }
 
 
-def run_line(
-    entry: RunEntry, result: Any = None, error: Optional[str] = None
-) -> Dict[str, Any]:
-    """The per-run status line for one entry."""
-    line: Dict[str, Any] = {
-        "type": "run",
-        "index": entry.index,
-        "digest": entry.digest,
-    }
-    if error is not None:
-        line["status"] = "error"
-        line["error"] = error
-        return line
-    line["status"] = "cached" if entry.status == "cached" else "done"
-    line["result_pickle"] = encode_result(result)
-    line["summary"] = _summary(result)
-    return line
-
-
-def event_lines(entry: RunEntry, result: Any) -> Iterator[Dict[str, Any]]:
-    """The run's recorded obs events as ``event`` lines (maybe none)."""
+def encode_run(result: Any) -> EncodedRun:
+    """The result's wire form: pickle bytes, summary, event texts."""
     events = getattr(result, "events", None)
-    if not events:
-        return
-    from ..obs.export import event_to_json
+    texts: Tuple[str, ...] = ()
+    if events:
+        from ..obs.export import event_to_json
 
-    for event in events:
-        yield {"type": "event", "index": entry.index, "event": event_to_json(event)}
+        texts = tuple(json.dumps(event_to_json(event)) for event in events)
+    return EncodedRun(
+        pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL), _summary(result), texts
+    )
+
+
+def decode_result(data: str) -> Any:
+    """The result of a run line's ``result_pickle``."""
+    return pickle.loads(base64.b64decode(data.encode("ascii")))
+
+
+def ndjson(payload: Any) -> bytes:
+    """One JSON value as one NDJSON line."""
+    return (json.dumps(payload) + "\n").encode()
+
+
+def run_lines(index: int, digest: str, status: str, run: EncodedRun) -> bytes:
+    """A successful run's ``run`` line followed by its ``event`` lines."""
+    line = json.dumps({
+        "type": "run",
+        "index": index,
+        "digest": digest,
+        "status": status,
+        "result_pickle": base64.b64encode(run.pickled).decode("ascii"),
+        "summary": run.summary,
+    })
+    head = f'{{"type": "event", "index": {index}, "event": '
+    return "".join([line, "\n", *(f"{head}{text}}}\n" for text in run.events)]).encode()
+
+
+def error_line(index: int, digest: str, message: str) -> Dict[str, Any]:
+    """A failed run's ``run`` line."""
+    return {
+        "type": "run",
+        "index": index,
+        "digest": digest,
+        "status": "error",
+        "error": message,
+    }
 
 
 def done_line(runs: int, failed: int) -> Dict[str, Any]:

@@ -19,20 +19,25 @@ test, verbatim from the issue:
 from __future__ import annotations
 
 import asyncio
+import base64
 import http.client
 import json
 import multiprocessing
 import os
 import pickle
 import signal
+import socket
 import threading
 import time
 from urllib.parse import urlsplit
 
 import pytest
 
+import repro.serve.client as serve_client
 from repro.core import RingConfiguration
-from repro.runtime import Runner, RunSpec, SqliteResultCache
+from repro.core.tracing import RunResult
+from repro.obs.export import event_to_json
+from repro.runtime import ResultCache, Runner, RunSpec, SqliteResultCache, execute
 from repro.serve import (
     Gateway,
     ServeClientError,
@@ -127,6 +132,99 @@ class TestRoundTrip:
             assert isinstance(event, dict) and "kind" in event
 
 
+class TestWireBytes:
+    """Every NDJSON line of a mixed batch, byte for byte against local runs."""
+
+    def test_lines_match_local_execution(self, server):
+        plain = _spec((1, 1, 0, 1))
+        recorded = RunSpec.make(
+            engine="async",
+            ring=RingConfiguration.oriented((1, 0, 1, 1)),
+            algorithm="input-distribution",
+            scheduler="random",
+            scheduler_seed=5,
+            record=True,
+        )
+        warm = _spec((0, 1, 1, 0, 1), engine="sync-batch")
+        failing = _spec((1, 1, 1, 1), budget=1)
+        assert submit_specs(server.url, [warm])[0].status == "done"
+        specs = [plain, recorded, recorded, warm, failing]
+
+        status, _, body = _raw_post(
+            server.url,
+            json.dumps({"specs": [spec.to_json_dict() for spec in specs]}).encode(),
+        )
+        assert status == 200
+        assert body.endswith(b"\n")
+        lines = body.split(b"\n")[:-1]
+        assert json.loads(lines[0]) == {
+            "type": "accepted", "runs": 5, "cached": 1, "queued": 4,
+        }
+        assert json.loads(lines[-1]) == {"type": "done", "runs": 5, "failed": 1}
+
+        local = {
+            index: execute(spec) for index, spec in enumerate(specs) if spec is not failing
+        }
+        runs = {}
+        position = 1
+        while position < len(lines) - 1:
+            line = json.loads(lines[position])
+            assert line["type"] == "run"
+            index = line["index"]
+            assert index not in runs
+            assert line["digest"] == specs[index].digest()
+            runs[index] = line["status"]
+            position += 1
+            if index not in local:
+                assert line["status"] == "error"
+                assert "NonTerminationError" in line["error"]
+                continue
+            expected = local[index]
+            assert line["summary"] == {
+                "n": expected.n,
+                "messages": expected.stats.messages,
+                "bits": expected.stats.bits,
+                "cycles": expected.cycles,
+            }
+            served = pickle.loads(base64.b64decode(line["result_pickle"]))
+            assert pickle.dumps(served) == pickle.dumps(expected)
+            for event in expected.events or ():
+                assert lines[position] == json.dumps(
+                    {"type": "event", "index": index, "event": event_to_json(event)}
+                ).encode()
+                position += 1
+        assert runs == {
+            0: "done", 1: "done", 2: "done", 3: "cached", 4: "error",
+        }
+        assert len(local[1].events) > 50
+        assert [event.seq for event in local[1].events] == sorted(
+            event.seq for event in local[1].events
+        )
+
+    def test_client_reassembles_lines_split_across_reads(self, server, monkeypatch):
+        specs = [_spec((1, 1, 0, 1)), _spec((1, 0, 1), record=True)]
+        whole = submit_specs(server.url, specs)
+        monkeypatch.setattr(serve_client, "READ_BLOCK", 7)
+        pieces = submit_specs(server.url, specs)
+        assert [o.status for o in pieces] == ["cached", "cached"]
+        for a, b in zip(whole, pieces):
+            assert pickle.dumps(a.result) == pickle.dumps(b.result)
+            assert a.events == b.events
+        assert pieces[1].events
+
+    @pytest.mark.parametrize("backend", [ResultCache, SqliteResultCache])
+    def test_gateway_entries_load_as_plain_results(self, tmp_path, backend):
+        specs = [_spec((1, 1, 0, 1)), _spec((1, 0, 1, 1), record=True)]
+        with ServerThread(cache=backend(tmp_path), jobs=2) as srv:
+            assert [o.status for o in submit_specs(srv.url, specs)] == ["done", "done"]
+        runner = Runner(cache=backend(tmp_path))
+        results = runner.run_specs(specs)
+        assert runner.executed == 0
+        for spec, result in zip(specs, results):
+            assert type(result) is RunResult
+            assert pickle.dumps(result) == pickle.dumps(execute(spec))
+
+
 class TestBackpressure:
     def test_queue_full_returns_429_with_retry_after(self, tmp_path):
         specs = [_spec((1, 1, 0, 1)), _spec((1, 1, 1, 1)), _spec((1, 0, 0, 1))]
@@ -200,6 +298,24 @@ class TestHttpSurface:
         # Nothing was admitted for the valid half.
         assert fetch_stats(server.url)["submitted"] == 0
 
+    @pytest.mark.parametrize("length", ["abc", "1.5", "-5"])
+    def test_malformed_content_length_is_400(self, server, length):
+        parts = urlsplit(server.url)
+        request = (
+            f"POST /runs HTTP/1.1\r\nHost: {parts.hostname}\r\n"
+            f"Content-Length: {length}\r\n\r\n{{}}"
+        ).encode()
+        with socket.create_connection((parts.hostname, parts.port), timeout=30) as sock:
+            sock.sendall(request)
+            reply = b""
+            while True:
+                data = sock.recv(4096)
+                if not data:
+                    break
+                reply += data
+        assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n"), reply[:80]
+        assert b"Content-Length" in reply.split(b"\r\n\r\n", 1)[1]
+
     def test_specs_must_be_a_list(self, server):
         status, _, _ = _raw_post(server.url, json.dumps({"specs": "nope"}).encode())
         assert status == 400
@@ -263,14 +379,17 @@ class TestSharedInflightJobs:
             second = gateway.submit([spec, spec])
             assert first[0].future is second[0].future is second[1].future
             assert gateway.stats()["queue"]["pending"] == 1
-            result = await first[0].future
+            run = await first[0].future
             await gateway.close()
-            return gateway, result
+            return gateway, run
 
-        gateway, result = asyncio.run(scenario())
+        gateway, run = asyncio.run(scenario())
         assert gateway.runner.executed == 1
         assert gateway.stats()["queue"]["pending"] == 0
         assert gateway.completed == 1
+        # The job resolves to the run's wire form; its bytes decode to
+        # the local result.
+        result = pickle.loads(run.pickled)
         assert pickle.dumps(result) == pickle.dumps(Runner().run_specs([spec])[0])
 
     def test_concurrent_requests_for_one_cold_spec_run_it_once(self, tmp_path):
