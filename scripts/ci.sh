@@ -145,6 +145,10 @@ echo "== trace smoke (event stream reconciles with TraceStats) =="
 python -m repro trace sync-and --n 6 --out TRACE_smoke.json --no-diagram
 python -m repro trace input-distribution --n 5 --out TRACE_smoke.json \
     --metrics TRACE_smoke_metrics.json --no-diagram
+# A faulted stream: its duplicate and drop rows go through the log, both
+# exporters and reconcile.
+python -m repro trace input-distribution --n 5 --profile dup --fault-seed 1 \
+    --out TRACE_smoke.json --no-diagram
 rm -f TRACE_smoke.json TRACE_smoke.events.jsonl TRACE_smoke_metrics.json
 
 echo "== schedule-fuzz smoke (fixed seed, --jobs 2) =="

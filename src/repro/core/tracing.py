@@ -19,7 +19,7 @@ from .errors import OutputDisagreement
 from .message import Envelope
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs.events import Event
+    from ..obs.events import EventLog
 
 
 @dataclass
@@ -118,16 +118,18 @@ class RunResult:
             schedules); ``None`` for event-driven async schedules where
             "cycle" has no meaning.
         halt_times: cycle at which each processor halted (sync runs).
-        events: the recorded :class:`repro.obs.events.Event` stream when
-            the run was executed with recording on (``RunSpec.record``);
-            ``None`` otherwise.
+        events: the recorded stream when the run was executed with
+            recording on (``RunSpec.record``) — a
+            :class:`repro.obs.events.EventLog`, a read-only sequence of
+            :class:`~repro.obs.events.Event` records stored as int32
+            columns; ``None`` otherwise.
     """
 
     outputs: Tuple[Any, ...]
     stats: TraceStats
     cycles: Optional[int] = None
     halt_times: Optional[Tuple[int, ...]] = None
-    events: Optional[Tuple["Event", ...]] = None
+    events: Optional["EventLog"] = None
 
     @property
     def n(self) -> int:

@@ -2,19 +2,21 @@
 
 The observability layer for both ring engines and the runtime:
 
-* :mod:`repro.obs.events` — the typed :class:`Event` stream, the
+* :mod:`repro.obs.events` — the typed :class:`Event` record, the
   :class:`Recorder` hook protocol the engines call, and
   :class:`EventRecorder`, which stamps every event with a cycle index
   (synchronous engines) or a per-processor Lamport clock (general
-  asynchronous engine) so causality is reconstructible;
+  asynchronous engine) so causality is reconstructible, appending one
+  row per event to a columnar :class:`EventLog`;
 * :mod:`repro.obs.metrics` — :func:`reconcile`, the field-for-field
   proof that a recorded stream agrees with the run's
   :class:`~repro.core.tracing.TraceStats`, and :func:`run_metrics`, the
   per-run metrics snapshot (latency histogram, queue depth, per-processor
   sends, time to quiescence);
 * :mod:`repro.obs.export` — JSONL and Chrome trace-event (Perfetto)
-  exporters, the trace-event schema validator, and reconstruction of the
-  classic envelope log / space–time diagram inputs from events alone.
+  exporters, the template renderer of an :class:`EventLog`'s wire texts,
+  the trace-event schema validator, and reconstruction of the classic
+  envelope log / space–time diagram inputs from events alone.
 
 Recording is opt-in everywhere: :class:`repro.runtime.spec.RunSpec` has
 a ``record`` flag, every engine takes ``recorder=None``, and the engine
@@ -22,7 +24,15 @@ hot paths do no observability work at all when it is off (held to < 5 %
 by ``python -m repro bench --suite obs``).  See ``docs/observability.md``.
 """
 
-from .events import CLOCK_CYCLE, CLOCK_LAMPORT, EVENT_KINDS, Event, EventRecorder, Recorder
+from .events import (
+    CLOCK_CYCLE,
+    CLOCK_LAMPORT,
+    EVENT_KINDS,
+    Event,
+    EventLog,
+    EventRecorder,
+    Recorder,
+)
 from .export import (
     OpaquePayload,
     chrome_trace,
@@ -33,6 +43,7 @@ from .export import (
     event_to_json,
     events_to_jsonl,
     read_events_jsonl,
+    render_events,
     result_from_events,
     validate_chrome_trace,
     write_chrome_trace,
@@ -45,6 +56,7 @@ __all__ = [
     "CLOCK_LAMPORT",
     "EVENT_KINDS",
     "Event",
+    "EventLog",
     "EventRecorder",
     "OpaquePayload",
     "ReconciliationError",
@@ -59,6 +71,7 @@ __all__ = [
     "events_to_jsonl",
     "read_events_jsonl",
     "reconcile",
+    "render_events",
     "result_from_events",
     "run_metrics",
     "validate_chrome_trace",

@@ -35,6 +35,13 @@ with for the asynchronous engine; the scheduling-event index for
 ``schedule``/``crash`` events), so the stream reconciles field-for-field
 with ``TraceStats`` — see :func:`repro.obs.metrics.reconcile`.
 
+Storage is columnar: :class:`EventRecorder` appends one positional row
+per event to an :class:`EventLog` — int32 columns plus a payload table
+interned by identity and a detail table — and builds no :class:`Event`.
+The log rebuilds :class:`Event` records on access, pickles as its column
+bytes and tables, and :func:`repro.obs.export.render_events` renders its
+wire texts straight from the columns.
+
 Recording is strictly opt-in: engines take ``recorder=None`` and guard
 every hook behind a single ``is not None`` check, so the hot paths stay
 envelope-free and allocation-free when recording is off (the overhead
@@ -43,9 +50,10 @@ guard in ``benchmarks/test_bench_obs.py`` holds them to that).
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.message import Port
 
@@ -63,9 +71,27 @@ EVENT_KINDS = (
     "schedule",
 )
 
+(_SEND, _ENQUEUE, _DELIVER, _DROP, _DUPLICATE, _WAKE, _STEP, _HALT, _CRASH,
+ _SCHEDULE) = range(len(EVENT_KINDS))
+
 #: Clock modes an :class:`EventRecorder` can run in.
 CLOCK_CYCLE = "cycle"
 CLOCK_LAMPORT = "lamport"
+
+#: The columns of an :class:`EventLog`, in row order.
+COLUMNS = (
+    "kind", "time", "etime", "proc", "peer", "port", "bits", "msg", "payload", "detail",
+)
+
+#: ``array`` typecode of every column: C ``int``, 32 bits on every
+#: platform CPython supports.
+_TYPECODE = "i"
+
+_LEFT = Port.LEFT
+
+#: Port names by an :class:`EventLog`'s port code; code -1 (``None``)
+#: lands on the last entry.
+PORT_NAMES = ("left", "right", None)
 
 
 @dataclass(frozen=True)
@@ -167,8 +193,124 @@ class Recorder:
         """The scheduler chose ``channel`` at event index ``etime``."""
 
 
+class EventLog(Sequence[Event]):
+    """A recorded event stream, stored as columns.
+
+    One row per event in ten int32 columns (:data:`COLUMNS`: kind, time,
+    etime, proc, peer, port, bits, msg, payload id, detail id; ``seq`` is
+    the row index), plus two tables the id columns point into:
+
+    * ``payloads`` — every payload and halt output, interned by
+      *identity*: one entry per distinct object, however often it is
+      sent.  Equality would merge ``True``, ``1`` and ``1.0`` (they
+      compare and hash equal) and cannot hold unhashable payloads; the
+      table keeps each object alive, so its ``id`` is never reused while
+      it is interned.  Entry 0 is ``None``.
+    * ``details`` — the ``detail`` strings, interned by value.  Entry 0
+      is ``""``.
+
+    ``kind`` indexes :data:`EVENT_KINDS`; ``port`` is 0 for ``left`` and
+    1 for ``right``; -1 stands for ``None`` in proc, peer, port and msg.
+
+    The log is a read-only, re-iterable ``Sequence[Event]``: indexing and
+    iteration rebuild :class:`Event` records from the row, so consumers
+    that read events (:func:`~repro.obs.metrics.reconcile`, both
+    exporters, the diagrams, the fuzzer) need not know the layout.  It
+    pickles as the columns' bytes (native byte order) and the two
+    tables.  Only :class:`EventRecorder` writes to it.
+    """
+
+    __slots__ = ("columns", "payloads", "details")
+
+    def __init__(
+        self,
+        data: bytes = b"",
+        payloads: Sequence[Any] = (None,),
+        details: Sequence[str] = ("",),
+    ) -> None:
+        whole = array(_TYPECODE, data)
+        size = len(whole) // len(COLUMNS)
+        self.columns: Tuple[array, ...] = tuple(
+            whole[k * size : (k + 1) * size] for k in range(len(COLUMNS))
+        )
+        self.payloads: List[Any] = list(payloads)
+        self.details: List[str] = list(details)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index):  # type: ignore[override]
+        if isinstance(index, slice):
+            return [self[seq] for seq in range(len(self))[index]]
+        seq = range(len(self))[index]
+        return self._event(seq, [column[seq] for column in self.columns])
+
+    def __iter__(self) -> Iterator[Event]:
+        event = self._event
+        for seq, row in enumerate(zip(*self.columns)):
+            yield event(seq, row)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EventLog):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __reduce__(self):
+        data = b"".join(column.tobytes() for column in self.columns)
+        return EventLog, (data, self.payloads, self.details)
+
+    def _event(self, seq: int, row: Sequence[int]) -> Event:
+        kind, time, etime, proc, peer, port, bits, msg, payload, detail = row
+        return Event(
+            seq,
+            EVENT_KINDS[kind],
+            time,
+            etime,
+            None if proc < 0 else proc,
+            None if peer < 0 else peer,
+            PORT_NAMES[port],
+            self.payloads[payload],
+            bits,
+            None if msg < 0 else msg,
+            self.details[detail],
+        )
+
+    def _writer(self) -> Callable[..., None]:
+        """A function appending one positional row, in :data:`COLUMNS` order.
+
+        A value outside int32 raises :class:`OverflowError`; the partly
+        written row is rolled back first, so a run that dies on it still
+        leaves a readable prefix.
+        """
+        columns = self.columns
+        kind, time, etime, proc, peer, port, bits, msg, payload, detail = (
+            column.append for column in columns
+        )
+
+        def write(k: int, t: int, e: int, p: int, q: int, o: int, b: int,
+                  m: int, pl: int, d: int) -> None:
+            try:
+                kind(k)
+                time(t)
+                etime(e)
+                proc(p)
+                peer(q)
+                port(o)
+                bits(b)
+                msg(m)
+                payload(pl)
+                detail(d)
+            except OverflowError:
+                size = min(map(len, columns))
+                for column in columns:
+                    del column[size:]
+                raise
+
+        return write
+
+
 class EventRecorder(Recorder):
-    """Records the full typed event stream of one run.
+    """Records the full typed event stream of one run into an :class:`EventLog`.
 
     Args:
         clock: :data:`CLOCK_CYCLE` for the synchronous engines (stamps
@@ -176,32 +318,47 @@ class EventRecorder(Recorder):
             asynchronous engine (stamps are per-processor Lamport
             clocks).
 
-    The recorder maintains a FIFO mirror of every engine channel keyed by
-    the opaque ``channel`` value the engine passes to :meth:`send`, which
-    is what lets it assign message ids and Lamport stamps without any
-    engine-side bookkeeping.
+    ``events`` is the log being filled: each hook appends one row per
+    event, building no :class:`Event`.  The recorder maintains a FIFO
+    mirror of every engine channel keyed by the opaque ``channel`` value
+    the engine passes to :meth:`send`, which is what lets it assign
+    message ids and Lamport stamps without any engine-side bookkeeping.
     """
 
     def __init__(self, clock: str = CLOCK_CYCLE) -> None:
         if clock not in (CLOCK_CYCLE, CLOCK_LAMPORT):
             raise ValueError(f"unknown clock mode {clock!r}")
         self.clock = clock
-        self.events: List[Event] = []
+        self.events = EventLog()
+        self._row = self.events._writer()
         self._lamport = clock == CLOCK_LAMPORT
         self._clocks: Dict[int, int] = {}
-        # Mirror entry: (msg, sender, receiver, in_port, payload, bits, send_stamp)
-        self._channels: Dict[Any, Deque[Tuple]] = {}
+        # Mirror entry: (msg, sender, receiver, in-port code, payload id, send stamp)
+        self._channels: Dict[Any, Deque[Tuple[int, ...]]] = {}
         self._next_msg = 0
-        self._copy: Optional[Tuple[Any, Tuple]] = None  # (channel, entry)
+        self._copy: Optional[Tuple[Any, Tuple[int, ...]]] = None  # (channel, entry)
+        self._payload_ids: Dict[int, int] = {id(None): 0}
+        self._detail_ids: Dict[str, int] = {"": 0}
 
     # ------------------------------------------------------------------
     # Internal helpers
     # ------------------------------------------------------------------
 
-    def _emit(self, kind: str, time: int, etime: int, **fields: Any) -> None:
-        self.events.append(
-            Event(seq=len(self.events), kind=kind, time=time, etime=etime, **fields)
-        )
+    def _payload(self, value: Any) -> int:
+        """``value``'s row in the payload table, interned by identity."""
+        pid = self._payload_ids.get(id(value))
+        if pid is None:
+            pid = self._payload_ids[id(value)] = len(self.events.payloads)
+            self.events.payloads.append(value)
+        return pid
+
+    def _detail(self, text: str) -> int:
+        """``text``'s row in the detail table."""
+        did = self._detail_ids.get(text)
+        if did is None:
+            did = self._detail_ids[text] = len(self.events.details)
+            self.events.details.append(text)
+        return did
 
     def _tick(self, proc: int) -> int:
         stamp = self._clocks.get(proc, 0) + 1
@@ -214,7 +371,7 @@ class EventRecorder(Recorder):
         self._clocks[proc] = new
         return new
 
-    def _take(self, channel: Any) -> Tuple:
+    def _take(self, channel: Any) -> Tuple[int, ...]:
         """Consume the subject of the next delivery on ``channel``.
 
         Returns the pending duplicate copy if :meth:`duplicate` just
@@ -244,112 +401,67 @@ class EventRecorder(Recorder):
         msg = self._next_msg
         self._next_msg += 1
         stamp = self._tick(sender) if self._lamport else etime
-        self._emit(
-            "send",
-            stamp,
-            etime,
-            proc=sender,
-            peer=receiver,
-            port=out_port.value,
-            payload=payload,
-            bits=bits,
-            msg=msg,
+        pid = self._payload(payload)
+        port = 0 if in_port is _LEFT else 1
+        self._row(
+            _SEND, stamp, etime, sender, receiver, 0 if out_port is _LEFT else 1,
+            bits, msg, pid, 0,
         )
-        self._emit(
-            "enqueue",
-            stamp,
-            etime,
-            proc=receiver,
-            peer=sender,
-            port=in_port.value,
-            payload=payload,
-            bits=bits,
-            msg=msg,
-        )
+        self._row(_ENQUEUE, stamp, etime, receiver, sender, port, bits, msg, pid, 0)
         queue = self._channels.get(channel)
         if queue is None:
             queue = self._channels[channel] = deque()
-        queue.append((msg, sender, receiver, in_port, payload, bits, stamp))
+        queue.append((msg, sender, receiver, port, pid, stamp))
 
     def deliver(self, channel: Any, etime: int) -> None:
-        msg, sender, receiver, in_port, payload, bits, stamp = self._take(channel)
+        msg, sender, receiver, port, pid, stamp = self._take(channel)
         time = self._witness(receiver, stamp) if self._lamport else etime
-        self._emit(
-            "deliver",
-            time,
-            etime,
-            proc=receiver,
-            peer=sender,
-            port=in_port.value,
-            payload=payload,
-            msg=msg,
-        )
+        self._row(_DELIVER, time, etime, receiver, sender, port, 0, msg, pid, 0)
         if self._lamport:
             # The delivery *is* the receiver's state transition in the
             # asynchronous model (one handler invocation per delivery).
-            self._emit("state-transition", time, etime, proc=receiver)
+            self._row(_STEP, time, etime, receiver, -1, -1, 0, -1, 0, 0)
 
     def drop(self, channel: Any, etime: int, reason: str = "") -> None:
-        msg, sender, receiver, in_port, payload, bits, stamp = self._take(channel)
+        msg, sender, receiver, port, pid, stamp = self._take(channel)
         # A drop changes no processor state: stamp it with the message's
         # send stamp (its last causal point) and tick no clock.
         time = stamp if self._lamport else etime
-        self._emit(
-            "drop",
-            time,
-            etime,
-            proc=receiver,
-            peer=sender,
-            port=in_port.value,
-            payload=payload,
-            msg=msg,
-            detail=reason,
+        self._row(
+            _DROP, time, etime, receiver, sender, port, 0, msg, pid, self._detail(reason)
         )
 
     def duplicate(self, channel: Any, etime: int) -> None:
         original = self._channels[channel][0]
-        msg, sender, receiver, in_port, payload, bits, stamp = original
+        msg, sender, receiver, port, pid, stamp = original
         copy_id = self._next_msg
         self._next_msg += 1
         time = stamp if self._lamport else etime
-        self._emit(
-            "duplicate",
-            time,
-            etime,
-            proc=receiver,
-            peer=sender,
-            port=in_port.value,
-            payload=payload,
-            msg=copy_id,
-            detail=f"copy-of:{msg}",
+        self._row(
+            _DUPLICATE, time, etime, receiver, sender, port, 0, copy_id, pid,
+            self._detail(f"copy-of:{msg}"),
         )
-        self._copy = (
-            channel,
-            (copy_id, sender, receiver, in_port, payload, bits, stamp),
-        )
+        self._copy = (channel, (copy_id, sender, receiver, port, pid, stamp))
 
     def wake(self, proc: int, etime: int, spontaneous: bool = True) -> None:
         time = self._tick(proc) if self._lamport else etime
-        self._emit(
-            "wake",
-            time,
-            etime,
-            proc=proc,
-            detail="spontaneous" if spontaneous else "message",
-        )
+        detail = self._detail("spontaneous" if spontaneous else "message")
+        self._row(_WAKE, time, etime, proc, -1, -1, 0, -1, 0, detail)
 
     def step(self, proc: int, etime: int) -> None:
         time = self._tick(proc) if self._lamport else etime
-        self._emit("state-transition", time, etime, proc=proc)
+        self._row(_STEP, time, etime, proc, -1, -1, 0, -1, 0, 0)
 
     def halt(self, proc: int, etime: int, output: Any = None) -> None:
         # Halting happens inside the transition that was already stamped.
         time = self._clocks.get(proc, 0) if self._lamport else etime
-        self._emit("halt", time, etime, proc=proc, payload=output)
+        self._row(_HALT, time, etime, proc, -1, -1, 0, -1, self._payload(output), 0)
 
     def crash(self, proc: int, etime: int) -> None:
         time = self._clocks.get(proc, 0) if self._lamport else etime
-        self._emit("crash", time, etime, proc=proc)
+        self._row(_CRASH, time, etime, proc, -1, -1, 0, -1, 0, 0)
 
     def schedule(self, channel: Any, etime: int) -> None:
-        self._emit("schedule", etime, etime, detail=repr(channel))
+        self._row(
+            _SCHEDULE, etime, etime, -1, -1, -1, 0, -1, 0, self._detail(repr(channel))
+        )

@@ -467,8 +467,9 @@ def execute(spec: RunSpec) -> RunResult:
     Every field of the result is a deterministic function of the spec:
     re-executing the same spec (in any process, on any worker of a pool)
     produces identical outputs, counters, and logs.  With ``record`` on,
-    the recorded event stream is attached as ``result.events`` (itself
-    deterministic — it is a pure function of the schedule).
+    the recorder's :class:`~repro.obs.events.EventLog` is attached as
+    ``result.events`` (itself deterministic — it is a pure function of the
+    schedule).
     """
     entry = algorithm(spec.algorithm)
     expected_kind = SYNC if spec.engine in SYNC_ENGINES else ASYNC
@@ -530,5 +531,5 @@ def execute(spec: RunSpec) -> RunResult:
             oblivious=oblivious,
         )
     if recorder is not None:
-        result = replace(result, events=tuple(recorder.events))
+        result = replace(result, events=recorder.events)
     return result

@@ -44,7 +44,9 @@ class EncodedRun(NamedTuple):
         pickled: ``pickle.dumps(result, HIGHEST_PROTOCOL)``.
         summary: the run line's ``summary`` object.
         events: ``json.dumps(event_to_json(event))`` per recorded event,
-            in ``seq`` order (empty when the run recorded nothing).
+            in ``seq`` order (empty when the run recorded nothing),
+            rendered from the run's :class:`~repro.obs.events.EventLog`
+            columns by :func:`~repro.obs.export.render_events`.
     """
 
     pickled: bytes
@@ -64,13 +66,19 @@ def _summary(value: Any) -> Dict[str, Any]:
 
 
 def encode_run(result: Any) -> EncodedRun:
-    """The result's wire form: pickle bytes, summary, event texts."""
+    """The result's wire form: pickle bytes, summary, event texts.
+
+    A recorded result's events are an :class:`~repro.obs.events.EventLog`:
+    it pickles as its int32 column bytes and tables, and its texts are
+    rendered from those columns (:func:`~repro.obs.export.render_events`)
+    rather than event by event.
+    """
     events = getattr(result, "events", None)
     texts: Tuple[str, ...] = ()
     if events:
-        from ..obs.export import event_to_json
+        from ..obs.export import render_events
 
-        texts = tuple(json.dumps(event_to_json(event)) for event in events)
+        texts = tuple(render_events(events))
     return EncodedRun(
         pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL), _summary(result), texts
     )

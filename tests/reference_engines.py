@@ -15,6 +15,11 @@ every event, rebuild every per-cycle structure from scratch, scan
 ``tests/test_trace_equivalence.py`` asserts byte-identical traces between
 these and the optimized engines on randomized rings and schedules.  Keep
 these slow and simple: their value is being obviously right.
+
+:class:`ReferenceEventRecorder` plays the same role for the
+:mod:`repro.obs` event log: it records each event as a frozen
+:class:`~repro.obs.events.Event`, the way the recorder did before the log
+became columnar.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from repro.core.errors import NonTerminationError, SimulationError
 from repro.core.message import Envelope, Port
 from repro.core.ring import RingConfiguration
 from repro.core.tracing import RunResult, TraceStats
+from repro.obs.events import CLOCK_CYCLE, CLOCK_LAMPORT, Event, Recorder
 from repro.sync.process import ABSENT, In, Out, ProcessGen, SyncProcess
 from repro.sync.simulator import ProcessFactory, default_cycle_budget
 from repro.sync.wakeup import WakeupSchedule
@@ -286,3 +292,195 @@ def run_synchronous_reference(
         cycles=max(halt_times) if halt_times else 0,
         halt_times=tuple(halt_times),
     )
+
+
+class ReferenceEventRecorder(Recorder):
+    """The obviously-right recorder: one frozen :class:`Event` per event.
+
+    The oracle for :class:`repro.obs.events.EventRecorder`, which appends
+    columnar rows instead: both must produce the same events for the same
+    hook calls (``tests/test_obs_properties.py``).
+
+    Args:
+        clock: :data:`CLOCK_CYCLE` for the synchronous engines (stamps
+            are cycle indices) or :data:`CLOCK_LAMPORT` for the general
+            asynchronous engine (stamps are per-processor Lamport
+            clocks).
+
+    The recorder maintains a FIFO mirror of every engine channel keyed by
+    the opaque ``channel`` value the engine passes to :meth:`send`, which
+    is what lets it assign message ids and Lamport stamps without any
+    engine-side bookkeeping.
+    """
+
+    def __init__(self, clock: str = CLOCK_CYCLE) -> None:
+        if clock not in (CLOCK_CYCLE, CLOCK_LAMPORT):
+            raise ValueError(f"unknown clock mode {clock!r}")
+        self.clock = clock
+        self.events: List[Event] = []
+        self._lamport = clock == CLOCK_LAMPORT
+        self._clocks: Dict[int, int] = {}
+        # Mirror entry: (msg, sender, receiver, in_port, payload, bits, send_stamp)
+        self._channels: Dict[Any, Deque[Tuple]] = {}
+        self._next_msg = 0
+        self._copy: Optional[Tuple[Any, Tuple]] = None  # (channel, entry)
+
+    # ------------------------------------------------------------------
+    # Internal helpers
+    # ------------------------------------------------------------------
+
+    def _emit(self, kind: str, time: int, etime: int, **fields: Any) -> None:
+        self.events.append(
+            Event(seq=len(self.events), kind=kind, time=time, etime=etime, **fields)
+        )
+
+    def _tick(self, proc: int) -> int:
+        stamp = self._clocks.get(proc, 0) + 1
+        self._clocks[proc] = stamp
+        return stamp
+
+    def _witness(self, proc: int, stamp: int) -> int:
+        """Lamport receive rule: advance ``proc`` past ``stamp``."""
+        new = max(self._clocks.get(proc, 0), stamp) + 1
+        self._clocks[proc] = new
+        return new
+
+    def _take(self, channel: Any) -> Tuple:
+        """Consume the subject of the next delivery on ``channel``.
+
+        Returns the pending duplicate copy if :meth:`duplicate` just
+        manufactured one; otherwise pops the channel mirror's head.
+        """
+        if self._copy is not None and self._copy[0] == channel:
+            entry = self._copy[1]
+            self._copy = None
+            return entry
+        return self._channels[channel].popleft()
+
+    # ------------------------------------------------------------------
+    # Recorder hooks
+    # ------------------------------------------------------------------
+
+    def send(
+        self,
+        sender: int,
+        receiver: int,
+        out_port: Port,
+        in_port: Port,
+        payload: Any,
+        bits: int,
+        etime: int,
+        channel: Any,
+    ) -> None:
+        msg = self._next_msg
+        self._next_msg += 1
+        stamp = self._tick(sender) if self._lamport else etime
+        self._emit(
+            "send",
+            stamp,
+            etime,
+            proc=sender,
+            peer=receiver,
+            port=out_port.value,
+            payload=payload,
+            bits=bits,
+            msg=msg,
+        )
+        self._emit(
+            "enqueue",
+            stamp,
+            etime,
+            proc=receiver,
+            peer=sender,
+            port=in_port.value,
+            payload=payload,
+            bits=bits,
+            msg=msg,
+        )
+        queue = self._channels.get(channel)
+        if queue is None:
+            queue = self._channels[channel] = deque()
+        queue.append((msg, sender, receiver, in_port, payload, bits, stamp))
+
+    def deliver(self, channel: Any, etime: int) -> None:
+        msg, sender, receiver, in_port, payload, bits, stamp = self._take(channel)
+        time = self._witness(receiver, stamp) if self._lamport else etime
+        self._emit(
+            "deliver",
+            time,
+            etime,
+            proc=receiver,
+            peer=sender,
+            port=in_port.value,
+            payload=payload,
+            msg=msg,
+        )
+        if self._lamport:
+            # The delivery *is* the receiver's state transition in the
+            # asynchronous model (one handler invocation per delivery).
+            self._emit("state-transition", time, etime, proc=receiver)
+
+    def drop(self, channel: Any, etime: int, reason: str = "") -> None:
+        msg, sender, receiver, in_port, payload, bits, stamp = self._take(channel)
+        # A drop changes no processor state: stamp it with the message's
+        # send stamp (its last causal point) and tick no clock.
+        time = stamp if self._lamport else etime
+        self._emit(
+            "drop",
+            time,
+            etime,
+            proc=receiver,
+            peer=sender,
+            port=in_port.value,
+            payload=payload,
+            msg=msg,
+            detail=reason,
+        )
+
+    def duplicate(self, channel: Any, etime: int) -> None:
+        original = self._channels[channel][0]
+        msg, sender, receiver, in_port, payload, bits, stamp = original
+        copy_id = self._next_msg
+        self._next_msg += 1
+        time = stamp if self._lamport else etime
+        self._emit(
+            "duplicate",
+            time,
+            etime,
+            proc=receiver,
+            peer=sender,
+            port=in_port.value,
+            payload=payload,
+            msg=copy_id,
+            detail=f"copy-of:{msg}",
+        )
+        self._copy = (
+            channel,
+            (copy_id, sender, receiver, in_port, payload, bits, stamp),
+        )
+
+    def wake(self, proc: int, etime: int, spontaneous: bool = True) -> None:
+        time = self._tick(proc) if self._lamport else etime
+        self._emit(
+            "wake",
+            time,
+            etime,
+            proc=proc,
+            detail="spontaneous" if spontaneous else "message",
+        )
+
+    def step(self, proc: int, etime: int) -> None:
+        time = self._tick(proc) if self._lamport else etime
+        self._emit("state-transition", time, etime, proc=proc)
+
+    def halt(self, proc: int, etime: int, output: Any = None) -> None:
+        # Halting happens inside the transition that was already stamped.
+        time = self._clocks.get(proc, 0) if self._lamport else etime
+        self._emit("halt", time, etime, proc=proc, payload=output)
+
+    def crash(self, proc: int, etime: int) -> None:
+        time = self._clocks.get(proc, 0) if self._lamport else etime
+        self._emit("crash", time, etime, proc=proc)
+
+    def schedule(self, channel: Any, etime: int) -> None:
+        self._emit("schedule", etime, etime, detail=repr(channel))

@@ -11,6 +11,7 @@ run itself (outputs, counters and logs stay byte-identical).
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from repro.obs import (
     assert_reconciled,
     reconcile,
 )
+from repro.perf.bench import workload_spec
 from repro.runtime.spec import RunSpec, execute
 
 
@@ -125,6 +127,16 @@ class TestRecorderUnit:
         assert rec.events[-1].kind == "state-transition"
         delivers = [e for e in rec.events if e.kind == "deliver"]
         assert [e.msg for e in delivers] == [0]
+
+    def test_values_outside_int32_raise_and_leave_the_log_whole(self):
+        rec = EventRecorder(clock=CLOCK_CYCLE)
+        rec.step(0, 1)
+        for hook in (lambda: rec.step(0, 2**31), lambda: rec.step(-(2**31) - 1, 0)):
+            with pytest.raises(OverflowError):
+                hook()
+            assert len(rec.events) == 1
+            assert {len(column) for column in rec.events.columns} == {1}
+        assert [e.etime for e in rec.events] == [1]
 
     def test_base_recorder_is_noop(self):
         rec = Recorder()
@@ -260,3 +272,15 @@ class TestAsyncEngineRecording:
         assert plain.stats.messages == traced.stats.messages
         assert plain.stats.delivered == traced.stats.delivered
         assert plain.stats.log == traced.stats.log
+
+
+class TestLogSize:
+    @pytest.mark.parametrize(
+        "workload",
+        ["sync_input_distribution", "async_input_distribution", "async_synchronized"],
+    )
+    def test_pickled_log_is_at_most_48_bytes_per_event(self, workload):
+        """Ten int32 columns are 40 bytes a row; the tables add the rest."""
+        events = execute(workload_spec(workload, 32).with_(record=True)).events
+        size = len(pickle.dumps(events, protocol=pickle.HIGHEST_PROTOCOL))
+        assert size <= 48 * len(events), f"{size / len(events):.1f} bytes per event"
