@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 tests, the repo benchmark's own tests and a
-# short checked run of it, plus quick-mode smoke runs of both bench
-# suites and the symmetry-analysis pytest-benchmarks, so the perf
-# harnesses themselves are exercised on every PR.
+# CI entry point: tier-1 tests, the repo benchmark's own tests and short
+# checked runs of both its serve workloads, plus quick-mode smoke runs of
+# the bench suites and the symmetry-analysis pytest-benchmarks, so the
+# perf harnesses themselves are exercised on every change.  Engine parity,
+# the sync fuzz corpus, the topology-adversary fuzz and the dynamic
+# bench's bound check are tier-1 tests.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -25,8 +27,14 @@ python -m pytest perfbench -q
 
 echo "== repo benchmark smoke (serve_cold, 5 s, every result checked) =="
 # A real `serve --jobs 2` child under the closed loop; exits nonzero when
-# any served result or streamed event count differs from a local execute.
+# any served result, or the event count of a decoded recorded result,
+# differs from a local execute.
 python3 perfbench/run.py --workload serve_cold --seed 1 --seconds 5 --trace 0
+
+echo "== repo benchmark smoke (serve_warm, 5 s, every result checked) =="
+# Every spec a cache hit: warm answers are encoded in the gateway
+# (`protocol.encode_run`), a path serve_cold does not take.
+python3 perfbench/run.py --workload serve_warm --seed 1 --seconds 5 --trace 0
 
 echo "== bench smoke (quick, --jobs 2) =="
 python -m repro bench --quick --jobs 2 --output BENCH_smoke.json
@@ -55,85 +63,6 @@ rows = payload["records"]
 assert any(r["n"] >= 100_000 for r in rows), "quick grid lost its large-n row"
 EOF
 rm -f BENCH_batch_smoke.json
-
-echo "== batched-sweep parity (--jobs 2, sync-batch vs sync, byte-identical) =="
-python - <<'EOF'
-import pickle
-from repro.core import RingConfiguration
-from repro.runtime import Runner, RunSpec
-
-specs = [
-    RunSpec.make(engine="sync-batch",
-                 ring=RingConfiguration.oriented((1,) * n + (0,)),
-                 algorithm="sync-and")
-    for n in range(3, 11)
-] + [
-    RunSpec.make(engine="sync-batch",
-                 ring=RingConfiguration.oriented((0,) * n),
-                 algorithm="start-sync", wakeup=tuple(range(n)))
-    for n in range(3, 9)
-]
-batched = Runner(jobs=2).run_specs(specs)
-generator = Runner(jobs=2).run_specs(
-    [spec.with_(engine="sync") for spec in specs]
-)
-assert [pickle.dumps(a) for a in batched] == [pickle.dumps(b) for b in generator], \
-    "sync-batch results diverge from the generator engine"
-print(f"batched-sweep parity: {len(specs)} specs byte-identical")
-EOF
-
-echo "== sync fuzz corpus parity (batched vs generator, byte-identical) =="
-# The fault-free synchronous corpus rides the batched sweep path by
-# default; forcing the generator engine must produce the same report
-# bytes, or the engines have diverged.
-python - <<'EOF'
-import json
-from repro.faults import run_sync_corpus
-
-auto = run_sync_corpus(seed=20240501, engine="auto")
-forced = run_sync_corpus(seed=20240501, engine="sync")
-assert json.dumps(auto, sort_keys=True) == json.dumps(forced, sort_keys=True), \
-    "batched sync corpus diverges from the generator engine"
-assert auto["violations"] == 0, f"sync corpus violations: {auto['violations']}"
-print(f"sync corpus parity: {auto['cases']} cases byte-identical, 0 violations")
-EOF
-
-echo "== topology-adversary fuzz smoke (fixed seeds, dynamic + oblivious) =="
-# The fault-free corpus must carry the topology-layer counting targets,
-# and they must survive seeded adversarial rewiring sweeps: every
-# processor outputs the true ring size on every case, or the run fails.
-python - <<'EOF'
-from repro.faults import run_sync_corpus
-from repro.faults.registry import default_sync_targets, sync_target_by_name
-
-names = {t.name for t in default_sync_targets()}
-assert {"dynamic-counting", "oblivious-counting"} <= names, names
-assert sync_target_by_name("dynamic-counting").topologies
-assert sync_target_by_name("oblivious-counting").oblivious
-
-targets = (
-    sync_target_by_name("dynamic-counting"),
-    sync_target_by_name("oblivious-counting"),
-)
-cases = 0
-for seed in (20240501, 20240502):
-    report = run_sync_corpus(seed=seed, targets=targets)
-    assert report["violations"] == 0, report["campaigns"]
-    cases += report["cases"]
-print(f"topology fuzz smoke: {cases} adversarial cases, 0 violations")
-EOF
-
-echo "== dynamic bench smoke (counting bounds, quick) =="
-python -m repro bench --suite dynamic --quick --output BENCH_dynamic_smoke.json
-python - <<'EOF'
-import json
-
-with open("BENCH_dynamic_smoke.json") as handle:
-    payload = json.load(handle)
-assert payload["schema"] == 2 and payload["suite"] == "dynamic-counting"
-assert payload["bounds"]["ok"], payload["bounds"]["violations"]
-EOF
-rm -f BENCH_dynamic_smoke.json
 
 echo "== symmetry analysis benchmarks =="
 python -m pytest benchmarks/test_bench_symmetry.py -q

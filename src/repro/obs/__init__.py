@@ -43,7 +43,6 @@ from .export import (
     event_to_json,
     events_to_jsonl,
     read_events_jsonl,
-    render_events,
     result_from_events,
     validate_chrome_trace,
     write_chrome_trace,
@@ -71,7 +70,6 @@ __all__ = [
     "events_to_jsonl",
     "read_events_jsonl",
     "reconcile",
-    "render_events",
     "result_from_events",
     "run_metrics",
     "validate_chrome_trace",

@@ -38,9 +38,8 @@ with ``TraceStats`` — see :func:`repro.obs.metrics.reconcile`.
 Storage is columnar: :class:`EventRecorder` appends one positional row
 per event to an :class:`EventLog` — int32 columns plus a payload table
 interned by identity and a detail table — and builds no :class:`Event`.
-The log rebuilds :class:`Event` records on access, pickles as its column
-bytes and tables, and :func:`repro.obs.export.render_events` renders its
-wire texts straight from the columns.
+The log rebuilds :class:`Event` records on access and pickles as its
+column bytes and tables.
 
 Recording is strictly opt-in: engines take ``recorder=None`` and guard
 every hook behind a single ``is not None`` check, so the hot paths stay

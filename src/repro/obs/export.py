@@ -8,10 +8,7 @@ Two on-disk formats plus reconstruction helpers:
   wrapped in :class:`OpaquePayload` so a decoded stream re-encodes to the
   same bytes).  :func:`read_events_jsonl` inverts
   :func:`write_events_jsonl` — the round-trip property the test suite
-  pins down.  :func:`render_events` produces the same objects' exact
-  ``json.dumps`` texts (the gateway's ``event`` lines) straight from an
-  :class:`~repro.obs.events.EventLog`'s columns, one ``%`` template per
-  row, encoding each interned payload once.
+  pins down.
 
 * **Chrome trace-event format** — loadable in Perfetto / ``chrome://
   tracing``: one track (thread) per processor, slices for sends,
@@ -39,7 +36,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from ..core.message import Envelope, Port
 from ..core.tracing import RunResult, TraceStats
-from .events import EVENT_KINDS, PORT_NAMES, Event, EventLog
+from .events import Event
 
 
 @dataclass(frozen=True)
@@ -111,48 +108,6 @@ def event_to_json(event: Event) -> Dict[str, Any]:
         "msg": event.msg,
         "detail": event.detail,
     }
-
-
-#: ``json.dumps(event_to_json(event))`` of one row: default separators,
-#: keys in :func:`event_to_json` order.
-_ROW_TEMPLATE = (
-    '{"seq": %d, "kind": %s, "time": %d, "etime": %d, "proc": %s, "peer": %s, '
-    '"port": %s, "payload": %s, "bits": %d, "msg": %s, "detail": %s}'
-)
-_KIND_TEXTS = tuple(json.dumps(kind) for kind in EVENT_KINDS)
-_PORT_TEXTS = tuple(json.dumps(name) for name in PORT_NAMES)
-
-
-def render_events(log: EventLog) -> List[str]:
-    """``json.dumps(event_to_json(event))`` for every event of ``log``, in order.
-
-    Rendered from the columns without building :class:`Event` records:
-    each interned payload goes through :func:`encode_value` and
-    ``json.dumps`` once, each detail once, and every row is one ``%``
-    template.  Byte-identical to the per-event path.
-    """
-    kind, time, etime, proc, peer, port, bits, msg, payload, detail = log.columns
-    # Text tables indexed by column value; -1 (``None``) lands on "null".
-    ids = [str(i) for i in range(max(max(proc, default=-1), max(peer, default=-1)) + 1)]
-    ids.append("null")
-    msgs = [str(i) for i in range(max(msg, default=-1) + 1)]
-    msgs.append("null")
-    payloads = [json.dumps(encode_value(value)) for value in log.payloads]
-    details = [json.dumps(text) for text in log.details]
-    rows = zip(
-        range(len(log)),
-        map(_KIND_TEXTS.__getitem__, kind),
-        time,
-        etime,
-        map(ids.__getitem__, proc),
-        map(ids.__getitem__, peer),
-        map(_PORT_TEXTS.__getitem__, port),
-        map(payloads.__getitem__, payload),
-        bits,
-        map(msgs.__getitem__, msg),
-        map(details.__getitem__, detail),
-    )
-    return [_ROW_TEMPLATE % row for row in rows]
 
 
 def event_from_json(data: Dict[str, Any]) -> Event:

@@ -7,10 +7,11 @@
 service: JSON-encoded spec batches come in over HTTP, warm digests are
 answered straight from the cache without executing anything, cold specs
 (bounded in flight, backpressure: ``429 Retry-After``) run on the
-runner's long-lived worker pool, and per-run status plus the
-recorded :mod:`repro.obs` event streams go back as newline-delimited
-JSON.  Results on the wire are the *same bytes* local execution
-produces: pickle-equal to ``Runner.run_specs`` on the same specs.
+runner's long-lived worker pool, and per-run status plus the pickled
+result go back as newline-delimited JSON, one line per run.  Results on
+the wire are the *same bytes* local execution produces: pickle-equal to
+``Runner.run_specs`` on the same specs, a ``record=True`` run's
+:mod:`repro.obs` event log included.
 
 Layers (each its own module, no third-party dependencies anywhere):
 

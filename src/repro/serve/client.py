@@ -5,14 +5,15 @@ Used by ``python -m repro submit``, the test suite, and the CI smoke:
 into per-run :class:`RunOutcome` objects whose ``result`` is the
 unpickled :class:`~repro.core.tracing.RunResult` — pickle-equal to what
 a local :meth:`~repro.runtime.runner.Runner.run_specs` returns for the
-same specs.
+same specs — and whose ``events`` is that result's recorded
+:class:`~repro.obs.events.EventLog`.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 from urllib.parse import urlsplit
 
@@ -40,9 +41,7 @@ class ServerQueueFull(ServeClientError):
 class RunOutcome:
     """One spec's outcome as reported by the stream.
 
-    ``status`` is ``"cached"``, ``"done"``, or ``"error"``; ``events``
-    collects the run's streamed obs-event lines (raw JSON dicts in the
-    JSONL export format).
+    ``status`` is ``"cached"``, ``"done"``, or ``"error"``.
     """
 
     index: int
@@ -50,11 +49,21 @@ class RunOutcome:
     status: str
     result: Any = None
     error: Optional[str] = None
-    events: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return self.status in ("cached", "done")
+
+    @property
+    def events(self) -> Sequence[Any]:
+        """The result's recorded event log, or ``()``.
+
+        A ``record=True`` run's :class:`~repro.obs.events.EventLog`, the
+        object a local ``execute(spec)`` returns; ``()`` when the run
+        recorded nothing or failed.
+        """
+        events = getattr(self.result, "events", None)
+        return () if events is None else events
 
 
 #: Bytes asked for per read of a streamed response body.
@@ -69,6 +78,7 @@ def _messages(response: http.client.HTTPResponse) -> Iterator[Dict[str, Any]]:
     parsed together as one JSON array: one ``json.loads`` per block
     rather than a ``readline`` and a ``json.loads`` per line.  A last
     line without its newline is dropped, as only a cut stream ends so.
+    A block that is not JSON is a :class:`ServeClientError`.
     """
     pieces: List[bytes] = []
     while True:
@@ -83,7 +93,37 @@ def _messages(response: http.client.HTTPResponse) -> Iterator[Dict[str, Any]]:
         lines = [line for line in b"".join(pieces).split(b"\n") if line.strip()]
         pieces = [block[cut + 1:]]
         if lines:
-            yield from json.loads(b"[" + b",".join(lines) + b"]")
+            try:
+                messages = json.loads(b"[" + b",".join(lines) + b"]")
+            except ValueError as exc:
+                raise ServeClientError(200, f"stream line is not JSON: {exc}") from None
+            yield from messages
+
+
+def _run_outcome(data: Dict[str, Any], outcomes: List[Optional[RunOutcome]]) -> RunOutcome:
+    """A ``run`` line as the outcome of a spec not yet reported.
+
+    An index outside the batch, a repeated index or a missing field is a
+    :class:`ServeClientError`: the stream cannot be trusted, and no
+    outcome may overwrite another.
+    """
+    index = data.get("index")
+    if type(index) is not int or not 0 <= index < len(outcomes):
+        raise ServeClientError(200, f"run line with an index outside the batch: {index!r}")
+    if outcomes[index] is not None:
+        raise ServeClientError(200, f"run {index} reported twice")
+    try:
+        outcome = RunOutcome(
+            index=index,
+            digest=data["digest"],
+            status=data["status"],
+            error=data.get("error"),
+        )
+    except KeyError as exc:
+        raise ServeClientError(200, f"run line {index} has no {exc}") from None
+    if "result_pickle" in data:
+        outcome.result = decode_result(data["result_pickle"])
+    return outcome
 
 
 def _connect(url: str, timeout: float) -> http.client.HTTPConnection:
@@ -125,9 +165,10 @@ def submit_specs(
     """Submit a batch, stream the response, return outcomes in spec order.
 
     Raises :class:`ServerQueueFull` on backpressure (429) and
-    :class:`ServeClientError` on any other non-200; per-run failures are
-    *not* exceptions — they come back as ``status="error"`` outcomes so
-    one bad spec never hides its batchmates' results.
+    :class:`ServeClientError` on any other non-200 or on a malformed
+    stream; per-run failures are *not* exceptions — they come back as
+    ``status="error"`` outcomes so one bad spec never hides its
+    batchmates' results.
     """
     specs = list(specs)
     body = json.dumps({"specs": [spec.to_json_dict() for spec in specs]})
@@ -150,22 +191,12 @@ def submit_specs(
         outcomes: List[Optional[RunOutcome]] = [None] * len(specs)
         done = False
         for data in _messages(response):
+            if not isinstance(data, dict):
+                raise ServeClientError(200, f"stream line is not an object: {data!r}")
             kind = data.get("type")
             if kind == "run":
-                index = data["index"]
-                outcome = RunOutcome(
-                    index=index,
-                    digest=data["digest"],
-                    status=data["status"],
-                    error=data.get("error"),
-                )
-                if "result_pickle" in data:
-                    outcome.result = decode_result(data["result_pickle"])
-                outcomes[index] = outcome
-            elif kind == "event":
-                target = outcomes[data["index"]]
-                if target is not None:
-                    target.events.append(data["event"])
+                outcome = _run_outcome(data, outcomes)
+                outcomes[outcome.index] = outcome
             elif kind == "done":
                 done = True
                 break

@@ -16,11 +16,12 @@ The data path, independent of HTTP:
    finish before its own specs start (same determinism contract, same
    telemetry as any local sweep).
 3. Workers return each result already encoded
-   (:func:`~repro.serve.protocol.encode_run`).  The gateway stores the
-   worker's pickle bytes in the cache under the spec digest — so the
-   *next* tenant asking for the same spec is a warm answer — and each
-   job's future resolves to the encoded run, which is what the streaming
-   HTTP response awaits.  No cold result is unpickled or re-pickled
+   (:func:`~repro.serve.protocol.encode_run`: pickle bytes and summary;
+   a recorded run's event log rides inside the pickle).  The gateway
+   stores the worker's pickle bytes in the cache under the spec digest —
+   so the *next* tenant asking for the same spec is a warm answer — and
+   each job's future resolves to the encoded run, which is what the
+   streaming HTTP response awaits.  No cold result is unpickled or re-pickled
    here; a warm hit is encoded from the cached result as it is streamed.
 
 Failures stay per-job: a failing spec resolves its future with a

@@ -10,13 +10,12 @@ connection):
   in the :meth:`~repro.runtime.spec.RunSpec.to_json_dict` format).
   Responds ``429`` + ``Retry-After`` when the bounded queue is full,
   ``400`` on malformed specs, and otherwise streams newline-delimited
-  JSON (chunked transfer): one ``accepted`` line, then per-run lines in
-  completion order — warm entries first, each carrying the
-  pickle-encoded result — each followed by the run's recorded
-  :mod:`repro.obs` events for ``record=True`` specs, closed by a
-  ``done`` line.  Each run (its ``run`` line and all its ``event``
-  lines) goes out as one chunk.  See ``docs/serve.md`` for the exact
-  line schemas.
+  JSON (chunked transfer): one ``accepted`` line, then one ``run`` line
+  per spec in completion order — warm entries first, each carrying the
+  pickle-encoded result (with its recorded :mod:`repro.obs` event log
+  for ``record=True`` specs) — closed by a ``done`` line.  Each line
+  goes out as one chunk.  See ``docs/serve.md`` for the exact line
+  schemas.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ message)`` tuples that always pickle back cleanly, and the gateway
 decides per job what to cache and what to report.
 
 ``run`` is the result already in wire form
-(:func:`repro.serve.protocol.encode_run`: its pickle bytes, summary and
-event JSON texts), built here next to the engine that produced it, so
+(:func:`repro.serve.protocol.encode_run`: its pickle bytes and summary),
+built here next to the engine that produced it, so
 the gateway caches and streams those bytes and never unpickles or
 re-pickles a cold result.  A result that fails to encode is that run's
 error.

@@ -38,6 +38,14 @@ def _start_spec(n: int, **kwargs) -> RunSpec:
     )
 
 
+def _sweep_specs():
+    """A batched sweep: sync-and with one zero at n = 3..10, then start-sync
+    with staggered wake-ups at n = 3..8."""
+    return [_and_spec((1,) * n + (0,)) for n in range(3, 11)] + [
+        _start_spec(n, wakeup=tuple(range(n))) for n in range(3, 9)
+    ]
+
+
 class TestKnownAnswers:
     def test_all_ones_ring_computes_one(self):
         result = run_batch([_and_spec([1, 1, 1, 1, 1])])[0]
@@ -294,9 +302,13 @@ class TestMixedTokenAndUnitBatches:
         results = Runner().run_specs(self._specs())
         assert [r.n for r in results] == [6, 4, 9, 7, 5, 3, 8]
 
-    @pytest.mark.parametrize("jobs", [1, 2, 3])
-    def test_bit_identical_to_generator_for_every_jobs(self, jobs):
-        specs = self._specs()
+    @pytest.mark.parametrize(
+        "jobs, sweep",
+        [(1, False), (2, False), (3, False), (2, True)],
+        ids=["1", "2", "3", "sweep-2"],
+    )
+    def test_bit_identical_to_generator_for_every_jobs(self, jobs, sweep):
+        specs = _sweep_specs() if sweep else self._specs()
         results = Runner(jobs=jobs).run_specs(specs)
         for spec, result in zip(specs, results):
             reference = execute(spec.with_(engine="sync"))

@@ -292,11 +292,27 @@ class TestSyncCorpus:
         """auto (sync-batch where supported) vs forced sync: same bytes."""
         import json
 
-        auto = run_sync_corpus(seed=11, engine="auto")
-        forced = run_sync_corpus(seed=11, engine="sync")
-        assert json.dumps(auto, sort_keys=True) == json.dumps(
-            forced, sort_keys=True
+        for seed in (11, 20240501):
+            auto = run_sync_corpus(seed=seed, engine="auto")
+            forced = run_sync_corpus(seed=seed, engine="sync")
+            assert json.dumps(auto, sort_keys=True) == json.dumps(
+                forced, sort_keys=True
+            )
+            assert auto["violations"] == 0
+
+    def test_topology_targets_survive_adversarial_rewiring(self):
+        """Dynamic and oblivious counting output the true ring size on
+        every seeded adversarial rewiring case."""
+        targets = (
+            sync_target_by_name("dynamic-counting"),
+            sync_target_by_name("oblivious-counting"),
         )
+        assert {t.name for t in targets} <= {t.name for t in default_sync_targets()}
+        assert targets[0].topologies and targets[1].oblivious
+        for seed in (20240501, 20240502):
+            report = run_sync_corpus(seed=seed, targets=targets)
+            assert report["cases"] > 0
+            assert report["violations"] == 0, report["campaigns"]
 
     def test_every_default_target_runs_clean(self):
         report = run_sync_corpus(seed=7)

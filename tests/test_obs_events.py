@@ -11,8 +11,11 @@ run itself (outputs, counters and logs stay byte-identical).
 
 from __future__ import annotations
 
+import http.client
+import json
 import pickle
 import random
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -29,6 +32,7 @@ from repro.obs import (
 )
 from repro.perf.bench import workload_spec
 from repro.runtime.spec import RunSpec, execute
+from repro.serve import ServerThread
 
 
 def oriented_ring(bits) -> RingConfiguration:
@@ -284,3 +288,25 @@ class TestLogSize:
         events = execute(workload_spec(workload, 32).with_(record=True)).events
         size = len(pickle.dumps(events, protocol=pickle.HIGHEST_PROTOCOL))
         assert size <= 48 * len(events), f"{size / len(events):.1f} bytes per event"
+
+    @pytest.mark.parametrize(
+        "workload",
+        ["sync_input_distribution", "async_input_distribution", "async_synchronized"],
+    )
+    def test_served_response_is_at_most_72_bytes_per_event(self, workload):
+        """The whole ``POST /runs`` body of one recorded run: base64 of the
+        48-byte pickled-log ceiling, plus the rest of the result."""
+        spec = workload_spec(workload, 32).with_(record=True)
+        events = len(execute(spec).events)
+        with ServerThread() as server:
+            parts = urlsplit(server.url)
+            conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=60)
+            try:
+                conn.request("POST", "/runs", json.dumps({"specs": [spec.to_json_dict()]}))
+                response = conn.getresponse()
+                body = response.read()
+            finally:
+                conn.close()
+        assert response.status == 200
+        assert body.count(b"\n") == 3  # accepted, run, done
+        assert len(body) <= 72 * events, f"{len(body) / events:.1f} bytes per event"

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.__main__ import main
 from repro.perf import (
     DYNAMIC_FILENAME,
     SCHEMA_VERSION,
@@ -78,6 +79,14 @@ class TestSuite:
         assert payload["bounds"]["ok"] is True
         assert payload["bounds"]["violations"] == []
         assert payload["bounds"]["max_rounds_per_n"]["oblivious_counting"] == 2.0
+
+
+    def test_cli_quick_run_holds_the_bounds(self, tmp_path):
+        target = tmp_path / "dynamic.json"
+        assert main(["bench", "--suite", "dynamic", "--quick", "--output", str(target)]) == 0
+        payload = json.loads(target.read_text())
+        assert payload["schema"] == 2 and payload["suite"] == "dynamic-counting"
+        assert payload["bounds"]["ok"], payload["bounds"]["violations"]
 
 
 class TestCommittedArtifact:

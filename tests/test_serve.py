@@ -13,7 +13,10 @@ test, verbatim from the issue:
   and never hide their batchmates' results;
 * a cold digest in flight is shared by every request that names it;
 * a killed pool worker fails only the runs in flight, within a bounded
-  time, and the gateway keeps serving on a fresh pool.
+  time, and the gateway keeps serving on a fresh pool;
+* each run is one ``run`` line, a recorded run's events arriving inside
+  its pickled result, and a 200 stream the client cannot trust is a
+  :class:`ServeClientError`.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import asyncio
 import base64
 import http.client
+import http.server
 import json
 import multiprocessing
 import os
@@ -34,6 +38,7 @@ from urllib.parse import urlsplit
 import pytest
 
 import repro.serve.client as serve_client
+from repro.__main__ import main
 from repro.core import RingConfiguration
 from repro.core.tracing import RunResult
 from repro.obs.export import event_to_json
@@ -122,18 +127,38 @@ class TestRoundTrip:
         payloads = {pickle.dumps(o.result) for o in outcomes}
         assert len(payloads) == 1
 
-    def test_recorded_runs_stream_their_events(self, server):
+    def test_recorded_runs_carry_their_events_in_the_result(self, server):
         plain = _spec((1, 1, 0))
         recorded = _spec((1, 1, 0), record=True)
         outcomes = submit_specs(server.url, [plain, recorded])
-        assert not outcomes[0].events
-        assert outcomes[1].events
-        for event in outcomes[1].events:
-            assert isinstance(event, dict) and "kind" in event
+        assert outcomes[1].events == execute(recorded).events
+        assert outcomes[1].events is outcomes[1].result.events
+        assert outcomes[0].events == ()
+
+    def test_recorded_run_answered_warm_keeps_its_events(self, server):
+        """A warm answer comes from the cache entry the worker's bytes made."""
+        recorded = RunSpec.make(
+            engine="async",
+            ring=RingConfiguration.oriented((1, 0, 1, 1)),
+            algorithm="input-distribution",
+            scheduler="random",
+            scheduler_seed=2,
+            record=True,
+        )
+        [cold] = submit_specs(server.url, [recorded])
+        [warm] = submit_specs(server.url, [recorded])
+        assert (cold.status, warm.status) == ("done", "cached")
+        assert len(cold.events) > 10
+        assert warm.events == cold.events
+        assert pickle.dumps(warm.result) == pickle.dumps(cold.result)
 
 
 class TestWireBytes:
-    """Every NDJSON line of a mixed batch, byte for byte against local runs."""
+    """Every NDJSON line of a mixed batch, byte for byte against local runs.
+
+    Each run is one ``run`` line; a recorded run's events travel only
+    inside its pickled result.
+    """
 
     def test_lines_match_local_execution(self, server):
         plain = _spec((1, 1, 0, 1))
@@ -157,6 +182,8 @@ class TestWireBytes:
         assert status == 200
         assert body.endswith(b"\n")
         lines = body.split(b"\n")[:-1]
+        assert len(lines) == len(specs) + 2
+        assert not [line for line in lines if json.loads(line)["type"] == "event"]
         assert json.loads(lines[0]) == {
             "type": "accepted", "runs": 5, "cached": 1, "queued": 4,
         }
@@ -166,15 +193,13 @@ class TestWireBytes:
             index: execute(spec) for index, spec in enumerate(specs) if spec is not failing
         }
         runs = {}
-        position = 1
-        while position < len(lines) - 1:
-            line = json.loads(lines[position])
+        for raw in lines[1:-1]:
+            line = json.loads(raw)
             assert line["type"] == "run"
             index = line["index"]
             assert index not in runs
             assert line["digest"] == specs[index].digest()
             runs[index] = line["status"]
-            position += 1
             if index not in local:
                 assert line["status"] == "error"
                 assert "NonTerminationError" in line["error"]
@@ -188,11 +213,10 @@ class TestWireBytes:
             }
             served = pickle.loads(base64.b64decode(line["result_pickle"]))
             assert pickle.dumps(served) == pickle.dumps(expected)
-            for event in expected.events or ():
-                assert lines[position] == json.dumps(
-                    {"type": "event", "index": index, "event": event_to_json(event)}
-                ).encode()
-                position += 1
+            # The removed event lines' texts, rebuilt from the result.
+            assert [json.dumps(event_to_json(e)) for e in served.events or ()] == [
+                json.dumps(event_to_json(e)) for e in expected.events or ()
+            ]
         assert runs == {
             0: "done", 1: "done", 2: "done", 3: "cached", 4: "error",
         }
@@ -261,6 +285,13 @@ class TestErrorIsolation:
         assert "NonTerminationError" in outcomes[1].error
         assert outcomes[1].result is None
         assert outcomes[0].ok and outcomes[2].ok
+
+    def test_failed_run_has_no_events(self, server):
+        """A failed recorded run has no result, so no events to count."""
+        [outcome] = submit_specs(server.url, [_spec((1, 1, 1, 1), budget=1, record=True)])
+        assert outcome.status == "error"
+        assert outcome.events == ()
+        assert len(outcome.events) == 0
 
     def test_errors_are_never_cached(self, server):
         bad = _spec((1, 1, 1, 1), budget=1)
@@ -338,6 +369,80 @@ class TestHttpSurface:
     def test_client_rejects_non_http_urls(self):
         with pytest.raises(ValueError, match="http://host:port"):
             submit_specs("ftp://nope", [_spec((1, 0))])
+
+
+class _FixedStream(http.server.BaseHTTPRequestHandler):
+    """Answers every POST with status 200 and the server's ``body`` bytes."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.send_response(200)
+        self.send_header("Content-Type", "application/x-ndjson")
+        self.send_header("Content-Length", str(len(self.server.body)))
+        self.end_headers()
+        self.wfile.write(self.server.body)
+
+    def log_message(self, *args):
+        pass
+
+
+def _stream(*lines: bytes) -> bytes:
+    """A 200 body for a two-spec batch: accepted, ``lines``, done."""
+    accepted = b'{"type": "accepted", "runs": 2, "cached": 0, "queued": 2}'
+    return b"\n".join((accepted, *lines, b'{"type": "done", "runs": 2, "failed": 2}', b""))
+
+
+def _error_run(index) -> bytes:
+    return json.dumps(
+        {"type": "run", "index": index, "digest": f"d{index}", "status": "error", "error": "x"}
+    ).encode()
+
+
+#: ``(body, message)``: a 200 stream, and what the client says of it.
+MALFORMED_STREAMS = {
+    "index-past-the-batch": (_stream(_error_run(0), _error_run(2)), "outside the batch: 2"),
+    "negative-index": (_stream(_error_run(0), _error_run(-1)), "outside the batch: -1"),
+    "repeated-index": (_stream(_error_run(0), _error_run(0)), "run 0 reported twice"),
+    "no-digest": (
+        _stream(_error_run(0), b'{"type": "run", "index": 1, "status": "done"}'),
+        "run line 1 has no 'digest'",
+    ),
+    "not-json": (_stream(_error_run(0), b"{not json", _error_run(1)), "not JSON"),
+    "not-an-object": (_stream(_error_run(0), b"[1]", _error_run(1)), "not an object"),
+}
+
+
+class TestMalformedStream:
+    """A 200 stream the client cannot trust is a protocol error, never a crash."""
+
+    @pytest.fixture(params=sorted(MALFORMED_STREAMS))
+    def fake_gateway(self, request):
+        """``(url, message)`` of a server whose every POST answers 200
+        with one malformed stream."""
+        body, message = MALFORMED_STREAMS[request.param]
+        server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _FixedStream)
+        server.body = body
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            yield f"http://127.0.0.1:{server.server_address[1]}", message
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_client_raises_serve_client_error(self, fake_gateway):
+        url, message = fake_gateway
+        with pytest.raises(ServeClientError, match=message) as excinfo:
+            submit_specs(url, [_spec((1, 0, 1)), _spec((1, 1, 0))])
+        assert excinfo.value.status == 200
+
+    def test_submit_cli_exits_2(self, fake_gateway, tmp_path, capsys):
+        url, _ = fake_gateway
+        specs = tmp_path / "specs.json"
+        specs.write_text(json.dumps([_spec((1, 0, 1)).to_json_dict(),
+                                     _spec((1, 1, 0)).to_json_dict()]))
+        assert main(["submit", str(specs), "--url", url]) == 2
+        assert "submit failed: HTTP 200" in capsys.readouterr().err
 
 
 class TestLifecycle:
