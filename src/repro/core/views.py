@@ -11,6 +11,16 @@ Views are the universal output type: Theorem 3.4 says a function is
 computable iff it is determined by such a view (invariance under rotation,
 and under reflection for nonoriented rings), so every computable problem
 reduces to "build your view, then evaluate locally".
+
+Pairs are shared canonical tuples.  Input distribution returns n views of
+n pairs, but a binary ring has only a few distinct pairs, so the
+constructor swaps each pair whose input is a bool or a small int for one
+module-level tuple of the same types and values.  Pickle's memo follows
+identity, so a result then pickles each distinct pair once, and which
+pairs share depends only on the values: equal results pickle to equal
+bytes whatever the process built before them.  Pair identity is not API,
+and input types are preserved: ``(1, True)``, ``(1, 1)`` and ``(1, 1.0)``
+stay three pairs.
 """
 
 from __future__ import annotations
@@ -20,6 +30,16 @@ from typing import Any, Tuple
 
 from .errors import ConfigurationError
 from .ring import RingConfiguration
+
+#: Every pair of an int orientation and a bool or an int input in
+#: CPython's small-int range (528 pairs), keyed by the type and the value
+#: of both elements: a value key would merge ``(1, True)`` into
+#: ``(1, 1)``.  Fixed at import, so any other pair stays as given.
+_SHARED_PAIRS = {
+    (type(rel), rel, type(value), value): (rel, value)
+    for rel in (0, 1)
+    for value in (*range(-5, 257), False, True)
+}
 
 
 @dataclass(frozen=True)
@@ -40,8 +60,16 @@ class RingView:
             raise ConfigurationError("a view needs at least the viewer itself")
         if self.entries[0][0] != 1:
             raise ConfigurationError("the viewer is oriented like itself")
-        if any(rel not in (0, 1) for rel, _ in self.entries):
-            raise ConfigurationError("relative orientations must be 0 or 1")
+        # One pass validates each orientation and swaps in the shared pair.
+        canonical = _SHARED_PAIRS.get
+        entries = []
+        append = entries.append
+        for pair in self.entries:
+            rel, value = pair
+            if rel != 0 and rel != 1:
+                raise ConfigurationError("relative orientations must be 0 or 1")
+            append(canonical((type(rel), rel, type(value), value), pair))
+        object.__setattr__(self, "entries", tuple(entries))
 
     # ------------------------------------------------------------------
     @property

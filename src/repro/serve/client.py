@@ -103,9 +103,10 @@ def _messages(response: http.client.HTTPResponse) -> Iterator[Dict[str, Any]]:
 def _run_outcome(data: Dict[str, Any], outcomes: List[Optional[RunOutcome]]) -> RunOutcome:
     """A ``run`` line as the outcome of a spec not yet reported.
 
-    An index outside the batch, a repeated index or a missing field is a
-    :class:`ServeClientError`: the stream cannot be trusted, and no
-    outcome may overwrite another.
+    An index outside the batch, a repeated index, a missing field, or a
+    ``result_pickle`` that is absent from a successful run or does not
+    decode is a :class:`ServeClientError`: the stream cannot be trusted,
+    and no outcome may overwrite another.
     """
     index = data.get("index")
     if type(index) is not int or not 0 <= index < len(outcomes):
@@ -122,7 +123,14 @@ def _run_outcome(data: Dict[str, Any], outcomes: List[Optional[RunOutcome]]) -> 
     except KeyError as exc:
         raise ServeClientError(200, f"run line {index} has no {exc}") from None
     if "result_pickle" in data:
-        outcome.result = decode_result(data["result_pickle"])
+        try:
+            outcome.result = decode_result(data["result_pickle"])
+        except Exception as exc:  # base64, unpickling and type errors alike
+            raise ServeClientError(
+                200, f"run line {index} has an undecodable result_pickle: {exc!r}"
+            ) from None
+    elif outcome.ok:
+        raise ServeClientError(200, f"run line {index} has no 'result_pickle'")
     return outcome
 
 

@@ -12,6 +12,8 @@ from repro.algorithms.async_input_distribution import compute_function_async
 from repro.algorithms.functions import AND, SUM, XOR
 from repro.asynch import GreedyChannelScheduler, RandomScheduler, RoundRobinScheduler
 from repro.core import ConfigurationError, RingConfiguration, RingView
+from repro.perf.bench import workload_spec
+from repro.runtime import execute
 
 
 def ground_truth(config: RingConfiguration):
@@ -57,6 +59,12 @@ class TestCorrectness:
     def test_n1_rejected(self):
         with pytest.raises(ConfigurationError):
             distribute_inputs_async(RingConfiguration.oriented([1]))
+
+    @pytest.mark.parametrize("workload", ["async_input_distribution", "async_synchronized"])
+    def test_views_share_their_pairs(self, workload):
+        """An oriented binary ring's n² view entries are 2 pair objects."""
+        outputs = execute(workload_spec(workload, 32)).outputs
+        assert len({id(pair) for view in outputs for pair in view.entries}) == 2
 
 
 class TestMessageCounts:

@@ -278,6 +278,20 @@ class TestAsyncEngineRecording:
         assert plain.stats.log == traced.stats.log
 
 
+class TestResultSize:
+    @pytest.mark.parametrize(
+        "workload",
+        ["sync_input_distribution", "async_input_distribution", "async_synchronized"],
+    )
+    def test_pickled_outputs_are_at_most_3_bytes_per_view_entry(self, workload):
+        """n views of n pairs: a binary ring's pairs are pickled once each,
+        and every other entry is a memo reference of about 2 bytes."""
+        n = 32
+        outputs = execute(workload_spec(workload, n)).outputs
+        size = len(pickle.dumps(outputs, protocol=pickle.HIGHEST_PROTOCOL))
+        assert size <= 3 * n * n, f"{size / (n * n):.2f} bytes per entry"
+
+
 class TestLogSize:
     @pytest.mark.parametrize(
         "workload",

@@ -38,6 +38,16 @@ class TestSuiteDefinition:
             assert set(workload.quick_sizes) <= set(workload.sizes)
 
 
+class TestBatchSuite:
+    def test_quick_grid_keeps_a_large_n_row(self):
+        """The quick batch bench, which CI runs under a time cap, measures
+        one row per quick size: one must reach n ≥ 10^5, so every CI run
+        exercises the batch engine's large-n path."""
+        from repro.perf.batch import _GRID
+
+        assert any(n >= 100_000 for row in _GRID for n in row.quick_sizes)
+
+
 class TestRunBench:
     def test_records_have_consistent_throughput(self):
         records = run_bench(quick=True, repeats=1, sizes=(5,))

@@ -16,6 +16,7 @@ import pytest
 
 from repro.core import RingConfiguration
 from repro.core.errors import ConfigurationError
+from repro.perf.bench import workload_spec
 from repro.runtime import (
     ENGINES,
     ResultCache,
@@ -242,12 +243,13 @@ class TestRunnerDeterminism:
 
     @pytest.mark.parametrize("jobs", [2, 4])
     def test_bit_identical_across_job_counts(self, jobs):
-        serial = Runner(jobs=1).run_specs(self._specs())
-        parallel = Runner(jobs=jobs).run_specs(self._specs())
+        specs = self._specs() + [workload_spec("sync_input_distribution", 32)]
+        serial = Runner(jobs=1).run_specs(specs)
+        parallel = Runner(jobs=jobs).run_specs(specs)
         assert [_result_fingerprint(r) for r in serial] == [
             _result_fingerprint(r) for r in parallel
         ]
-        assert [pickle.dumps(a) == pickle.dumps(b) for a, b in zip(serial, parallel)]
+        assert all(pickle.dumps(a) == pickle.dumps(b) for a, b in zip(serial, parallel))
 
     def test_results_in_submission_order(self):
         results = Runner(jobs=2).run_specs(self._specs())

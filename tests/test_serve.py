@@ -398,6 +398,13 @@ def _error_run(index) -> bytes:
     ).encode()
 
 
+def _done_run(index, result_pickle) -> bytes:
+    return json.dumps(
+        {"type": "run", "index": index, "digest": f"d{index}", "status": "done",
+         "result_pickle": result_pickle}
+    ).encode()
+
+
 #: ``(body, message)``: a 200 stream, and what the client says of it.
 MALFORMED_STREAMS = {
     "index-past-the-batch": (_stream(_error_run(0), _error_run(2)), "outside the batch: 2"),
@@ -407,6 +414,13 @@ MALFORMED_STREAMS = {
         _stream(_error_run(0), b'{"type": "run", "index": 1, "status": "done"}'),
         "run line 1 has no 'digest'",
     ),
+    "done-without-result": (
+        _stream(_error_run(0), b'{"type": "run", "index": 1, "digest": "d1", "status": "done"}'),
+        "run line 1 has no 'result_pickle'",
+    ),
+    "result-not-base64": (_stream(_error_run(0), _done_run(1, "!!!")), "undecodable result_pickle"),
+    "result-not-a-pickle": (_stream(_error_run(0), _done_run(1, "AAAA")), "undecodable result_pickle"),
+    "result-not-a-string": (_stream(_error_run(0), _done_run(1, 123)), "undecodable result_pickle"),
     "not-json": (_stream(_error_run(0), b"{not json", _error_run(1)), "not JSON"),
     "not-an-object": (_stream(_error_run(0), b"[1]", _error_run(1)), "not an object"),
 }

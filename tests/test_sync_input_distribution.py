@@ -14,6 +14,8 @@ from repro.algorithms.sync_input_distribution import (
     message_bound,
 )
 from repro.core import ConfigurationError, RingConfiguration, RingView
+from repro.perf.bench import workload_spec
+from repro.runtime import execute
 
 
 def ground_truth(config: RingConfiguration):
@@ -63,6 +65,13 @@ class TestCorrectness:
     def test_n1_rejected(self):
         with pytest.raises(ConfigurationError):
             distribute_inputs_sync(RingConfiguration.oriented([1]))
+
+    @pytest.mark.parametrize("engine", ["sync", "sync-batch"])
+    def test_views_share_their_pairs(self, engine):
+        """An oriented binary ring's n² view entries are 2 pair objects."""
+        spec = workload_spec("sync_input_distribution", 32).with_(engine=engine)
+        outputs = execute(spec).outputs
+        assert len({id(pair) for view in outputs for pair in view.entries}) == 2
 
 
 class TestComplexity:

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import ConfigurationError, RingConfiguration, RingView
+from repro.core.views import _SHARED_PAIRS
+from repro.perf.bench import workload_spec
+from repro.runtime import Runner, execute
 
 
 def ring_from_seed(n: int, iseed: int, dseed: int) -> RingConfiguration:
@@ -108,3 +113,45 @@ class TestAsConfiguration:
         ring = RingConfiguration.oriented([4, 5, 6])
         view = RingView.from_configuration(ring, 0)
         assert view.as_configuration() == ring
+
+
+class TestSharedPairs:
+    """Pairs with a bool or small-int input are interned by type and value."""
+
+    def test_equal_values_of_other_types_stay_apart(self):
+        built = (((1, 1), (0, 0)), ((1, True), (0, False)), ((1, 1.0), (0, 0.0)))
+        views = [RingView(entries) for entries in built]
+        for view, entries in zip(views, built):
+            assert [tuple(map(type, pair)) for pair in view.entries] == [
+                tuple(map(type, pair)) for pair in entries
+            ]
+        pickles = [pickle.dumps(view, pickle.HIGHEST_PROTOCOL) for view in views]
+        assert len(set(pickles)) == len(pickles)
+
+    def test_orientation_bit_keeps_its_type(self):
+        as_bool = RingView(((True, 1), (0, 0)))
+        as_int = RingView(((1, 1), (0, 0)))
+        assert as_bool.entries[0][0] is True
+        assert type(as_int.entries[0][0]) is int
+
+    def test_equal_pairs_are_one_object(self):
+        first = RingView(((1, 0), (0, 1), (1, 0)))
+        second = RingView.from_configuration(RingConfiguration.oriented((0, 1, 0)), 0)
+        assert first.entries[0] is first.entries[2] is second.entries[0]
+
+    def test_out_of_domain_pairs_stay_as_given_and_leave_no_trace(self):
+        """The table is fixed: what a process built before cannot change a
+        result's sharing, so a pool worker pickles it to the same bytes."""
+        spec = workload_spec("sync_input_distribution", 32)
+        before = dict(_SHARED_PAIRS)
+        with Runner(jobs=2) as runner:
+            runner.run_specs([spec])  # forks the workers before the views below
+            for k in range(10_000):
+                pairs = ((1, 10**9 + k), (0, f"input {k}"), (1, (k, -k)))
+                view = RingView(pairs)
+                assert all(ours is theirs for ours, theirs in zip(view.entries, pairs))
+            assert _SHARED_PAIRS == before
+            pooled = runner.run_specs([spec])[0]
+        assert pickle.dumps(pooled, pickle.HIGHEST_PROTOCOL) == pickle.dumps(
+            execute(spec), pickle.HIGHEST_PROTOCOL
+        )
