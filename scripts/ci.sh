@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 tests, the repo benchmark's own tests and short
-# checked runs of both its serve workloads, plus quick-mode smoke runs of
-# the bench suites and the symmetry-analysis pytest-benchmarks, so the
-# perf harnesses themselves are exercised on every change.  Engine parity,
+# checked runs of both its serve workloads, a full `report --jobs 2` that
+# must regenerate the committed EXPERIMENTS.md byte for byte, plus
+# quick-mode smoke runs of the bench suites and the symmetry-analysis
+# pytest-benchmarks, so the perf harnesses themselves are exercised on
+# every change.  Engine parity,
 # the sync fuzz corpus, the topology-adversary fuzz, the dynamic bench's
 # bound check and the batch bench's large-n row are tier-1 tests, so this
 # script runs no inline Python.
@@ -36,6 +38,15 @@ echo "== repo benchmark smoke (serve_warm, 5 s, every result checked) =="
 # Every spec a cache hit: warm answers are encoded in the gateway
 # (`protocol.encode_run`), a path serve_cold does not take.
 python3 perfbench/run.py --workload serve_warm --seed 1 --seconds 5 --trace 0
+
+echo "== report regenerates EXPERIMENTS.md byte-identically (--jobs 2) =="
+# The fourth byte-identity suite: every experiment, run through the pool,
+# must reproduce the committed tables exactly.
+report_copy="$(mktemp)"
+cp EXPERIMENTS.md "$report_copy"
+python -m repro report --jobs 2 --output "$report_copy" > /dev/null
+cmp "$report_copy" EXPERIMENTS.md
+rm -f "$report_copy"
 
 echo "== bench smoke (quick, --jobs 2) =="
 python -m repro bench --quick --jobs 2 --output BENCH_smoke.json
@@ -85,8 +96,9 @@ rm -f FUZZ_smoke.json METRICS_smoke.json
 
 echo "ci.sh: all green"
 
-# Docs refresh (not run in CI): after a change that moves any measured
-# number, regenerate the committed experiment tables in place with
+# Docs refresh: after a change that moves any measured number, the
+# report step above fails; regenerate the committed experiment tables in
+# place with
 #   python -m repro report --output EXPERIMENTS.md --jobs "$(nproc)"
 # and commit the diff.  The file's footer carries no timestamps, so an
 # unchanged report regenerates byte-identically.

@@ -40,7 +40,7 @@ from ..core.message import Port
 from ..core.ring import RingConfiguration
 from ..core.tracing import RunResult
 from ..core.views import RingView
-from ..sync.process import ABSENT, In, Out, SyncProcess
+from ..sync.process import ABSENT, In, Out, SyncProcess, cycle_by_cycle
 from ..sync.simulator import run_synchronous
 from .sync_input_distribution import SyncInputDistribution
 from .sync_input_distribution import cycle_bound as _fig2_cycle_bound
@@ -75,7 +75,7 @@ class AlternatingInputDistribution(SyncProcess):
         # --- virtual Figure 2 over the parity class ---------------------
         m = n // 2
         inner = SyncInputDistribution((self.input, right_input), m)
-        gen = inner.run()
+        gen = cycle_by_cycle(inner.run())
         view: Optional[RingView] = None
         try:
             own_out = next(gen)

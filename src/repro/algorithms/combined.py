@@ -25,7 +25,7 @@ from typing import Any, Optional
 from ..core.errors import ConfigurationError, ProtocolError
 from ..core.ring import RingConfiguration
 from ..core.tracing import RunResult
-from ..sync.process import In, Out, SyncProcess
+from ..sync.process import In, Out, SyncProcess, cycle_by_cycle
 from ..sync.simulator import run_synchronous
 from . import orientation as _orientation
 from .alternating import AlternatingInputDistribution
@@ -69,7 +69,7 @@ class UniversalInputDistribution(SyncProcess):
 
         # ---- stage 1: quasi-orientation --------------------------------
         orient = QuasiOrientation(self.input, self.n)
-        stage = orient.run()
+        stage = cycle_by_cycle(orient.run())
         out = next(stage)
         switch: Optional[int] = None
         while True:
@@ -95,7 +95,7 @@ class UniversalInputDistribution(SyncProcess):
             inner: SyncProcess = AlternatingInputDistribution(self.input, self.n)
         else:
             inner = SyncInputDistribution(self.input, self.n)
-        stage = inner.run()
+        stage = cycle_by_cycle(inner.run())
         swap = switch == 1
         out = next(stage)
         while True:

@@ -40,7 +40,7 @@ from ..core.message import Port
 from ..core.ring import RingConfiguration
 from ..core.tracing import RunResult
 from ..core.views import RingView
-from ..sync.process import In, Out, SyncProcess
+from ..sync.process import Idle, In, Out, SyncProcess
 from ..sync.simulator import run_synchronous
 
 
@@ -90,14 +90,18 @@ class SyncInputDistribution(SyncProcess):
                     )
                 label = tuple(arrivals[0]) + (self.input,)
             else:
+                # Relay accumulators for n cycles, idling between them.
                 quiet = True
                 pending: Optional[Tuple[Any, ...]] = None
-                for _cycle in range(n):
-                    out = Out()
-                    if pending is not None:
-                        out.right = pending
+                remaining = n
+                while remaining:
+                    if pending is None:
+                        elapsed, got = yield Idle(remaining)
+                    else:
+                        got = yield Out(right=pending)
                         pending = None
-                    got = yield out
+                        elapsed = 1
+                    remaining -= elapsed
                     if got.any():
                         quiet = False
                         active = False
@@ -118,30 +122,34 @@ class SyncInputDistribution(SyncProcess):
         if active:
             yield Out(right=label)
             return self._view_from_period(label)
-        for _cycle in range(n + 1):
-            got = yield Out()
-            if got.any():
-                port, payload = got.items()[0]
-                if port is not Port.LEFT or got.count() != 1:
-                    raise ProtocolError(f"unexpected broadcast arrival: {got!r}")
-                label = tuple(payload[1:]) + (payload[0],)  # cyclic_shift
-                yield Out(right=label)
-                return self._view_from_period(label)
-        raise ProtocolError("no broadcast message arrived")
+        _elapsed, got = yield Idle(n + 1)
+        if not got.any():
+            raise ProtocolError("no broadcast message arrived")
+        port, payload = got.items()[0]
+        if port is not Port.LEFT or got.count() != 1:
+            raise ProtocolError(f"unexpected broadcast arrival: {got!r}")
+        label = tuple(payload[1:]) + (payload[0],)  # cyclic_shift
+        yield Out(right=label)
+        return self._view_from_period(label)
 
     # ------------------------------------------------------------------
     def _forward_both_ways(self, cycles: int):
-        """Relay messages for ``cycles`` cycles (opposite-port forwarding)."""
-        pending = Out()
-        for _cycle in range(cycles):
-            got = yield pending
-            pending = Out()
-            for port, payload in got.items():
-                if port is Port.LEFT:
-                    pending.right = payload
-                else:
-                    pending.left = payload
-        if tuple(pending.sends()):
+        """Relay messages for ``cycles`` cycles (opposite-port forwarding).
+
+        Idles between arrivals: a relay is resumed only when a message
+        reaches it, and forwards it on the next cycle.
+        """
+        pending: Optional[Out] = None
+        remaining = cycles
+        while remaining:
+            if pending is None:
+                elapsed, got = yield Idle(remaining)
+            else:
+                got = yield pending
+                elapsed = 1
+            remaining -= elapsed
+            pending = Out(left=got.right, right=got.left) if got.any() else None
+        if pending is not None:
             raise ProtocolError("relay still pending at phase end")
 
     def _view_from_period(self, label: Tuple[Any, ...]) -> RingView:

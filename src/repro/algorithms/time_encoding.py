@@ -26,7 +26,7 @@ from ..core.errors import ConfigurationError, ProtocolError
 from ..core.message import Port
 from ..core.ring import RingConfiguration
 from ..core.tracing import RunResult
-from ..sync.process import ABSENT, In, Out, SyncProcess
+from ..sync.process import ABSENT, In, Out, SyncProcess, cycle_by_cycle
 from ..sync.simulator import ProcessFactory, run_synchronous
 
 
@@ -60,7 +60,7 @@ class TimeEncoded(SyncProcess):
 
     # ------------------------------------------------------------------
     def run(self):
-        gen = self.inner.run()
+        gen = cycle_by_cycle(self.inner.run())
         k = len(self.alphabet)
         try:
             out = next(gen)

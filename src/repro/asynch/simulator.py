@@ -32,8 +32,9 @@ Both engines are hot paths — every bound in the paper is checked by
 running them — so the event loops avoid per-event rebuilding: routing is
 resolved once per (sender, port), the set of nonempty channels is
 maintained incrementally in sorted order (never re-sorted from scratch),
-and trace accounting skips :class:`~repro.core.message.Envelope`
-construction unless a log is requested.
+each send is sized once, and trace accounting skips
+:class:`~repro.core.message.Envelope` construction unless a log is
+requested.
 """
 
 from __future__ import annotations
@@ -133,8 +134,10 @@ class _Engine:
         receiver, in_port, step = self.routes[sender][out_port]
         if self.oblivious:
             payload = None
+        bits = bit_length(payload)
+        self.stats.record_send(bits, time)
         if self.keep_log:
-            self.stats.record(
+            self.stats.log.append(
                 Envelope(
                     sender=sender,
                     receiver=receiver,
@@ -144,8 +147,6 @@ class _Engine:
                     send_time=time,
                 )
             )
-        else:
-            self.stats.record_send(bit_length(payload), time)
         if self.recorder is not None:
             channel = (sender, receiver, step) if self.cid_keys else (receiver, in_port)
             self.recorder.send(
@@ -154,7 +155,7 @@ class _Engine:
                 out_port,
                 in_port,
                 payload,
-                bit_length(payload),
+                bits,
                 time,
                 channel=channel,
             )

@@ -30,6 +30,11 @@ class Port(enum.Enum):
     LEFT = "left"
     RIGHT = "right"
 
+    # Members are singletons, so identity hashing (in C) is exact; Enum's
+    # own ``__hash__`` hashes the member's name in Python on every lookup
+    # of a Port-keyed route.
+    __hash__ = object.__hash__
+
     @property
     def opposite(self) -> "Port":
         """The other port; forwarding sends a message out the opposite port."""

@@ -68,9 +68,9 @@ class TraceStats:
     def record_send(self, bits: int, cycle: int) -> None:
         """Account for one sent message from pre-extracted fields.
 
-        The engines' hot paths use this directly when ``keep_log`` is
-        false, skipping :class:`~repro.core.message.Envelope`
-        construction; :meth:`record` funnels through it otherwise.
+        The engines call this directly with each send's size (taken
+        once per send) and append to :attr:`log` themselves under
+        ``keep_log``; :meth:`record` funnels through it too.
         """
         self.messages += 1
         self.bits += bits

@@ -13,10 +13,13 @@ independent of how many other runs exist.
 
 "Events" is the synchronous engine's usual unit: ``n × cycles`` per run,
 summed over the batch.  The headline number is ``speedup`` =
-``batch_events_per_sec / sync_events_per_sec``; the acceptance floor is
-50× for the unit-bits originals (``sync_and``, ``start_sync``) and 10×
+``batch_events_per_sec / sync_events_per_sec``.  The stated floors, 50×
+for the unit-bits originals (``sync_and``, ``start_sync``) and a 10×
 geomean for the token-carrying Figure 2 family and the election
-baseline, whose per-cycle interning is inherently heavier.
+baseline (whose per-cycle interning is inherently heavier), are not
+enforced, and the generator side got faster once idle processors stopped
+being resumed: ``docs/batch.md`` lists where the committed grid misses
+them and why.
 """
 
 from __future__ import annotations

@@ -66,6 +66,10 @@ class RunOutcome:
         return () if events is None else events
 
 
+#: Every ``status`` a ``run`` line may carry.
+RUN_STATUSES = ("cached", "done", "error")
+
+
 #: Bytes asked for per read of a streamed response body.
 READ_BLOCK = 1 << 16
 
@@ -103,10 +107,12 @@ def _messages(response: http.client.HTTPResponse) -> Iterator[Dict[str, Any]]:
 def _run_outcome(data: Dict[str, Any], outcomes: List[Optional[RunOutcome]]) -> RunOutcome:
     """A ``run`` line as the outcome of a spec not yet reported.
 
-    An index outside the batch, a repeated index, a missing field, or a
-    ``result_pickle`` that is absent from a successful run or does not
-    decode is a :class:`ServeClientError`: the stream cannot be trusted,
-    and no outcome may overwrite another.
+    An index outside the batch, a repeated index, a missing field, a
+    status other than ``cached``, ``done`` or ``error``, an ``error`` run
+    without a string ``error``, or a ``result_pickle`` that is absent
+    from a successful run or does not decode is a
+    :class:`ServeClientError`: the stream cannot be trusted, and no
+    outcome may overwrite another.
     """
     index = data.get("index")
     if type(index) is not int or not 0 <= index < len(outcomes):
@@ -122,6 +128,12 @@ def _run_outcome(data: Dict[str, Any], outcomes: List[Optional[RunOutcome]]) -> 
         )
     except KeyError as exc:
         raise ServeClientError(200, f"run line {index} has no {exc}") from None
+    if outcome.status not in RUN_STATUSES:
+        raise ServeClientError(
+            200, f"run line {index} has an unknown status: {outcome.status!r}"
+        )
+    if outcome.status == "error" and not isinstance(outcome.error, str):
+        raise ServeClientError(200, f"run line {index} is an error without a message")
     if "result_pickle" in data:
         try:
             outcome.result = decode_result(data["result_pickle"])

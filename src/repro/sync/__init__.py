@@ -1,11 +1,12 @@
 """Synchronous model: lock-step simulator, processes, wake-up schedules."""
 
-from .process import ABSENT, In, Out, ProcessGen, SyncProcess, expect_single
+from .process import ABSENT, Idle, In, Out, ProcessGen, SyncProcess, expect_single
 from .simulator import ProcessFactory, default_cycle_budget, run_synchronous
 from .wakeup import WakeupSchedule
 
 __all__ = [
     "ABSENT",
+    "Idle",
     "In",
     "Out",
     "ProcessFactory",

@@ -14,13 +14,33 @@ emits this cycle's messages and resumes with this cycle's arrivals (the
 sent the same cycle).  Returning from the generator halts the processor;
 the return value is its output state.
 
+A processor with nothing to send may wait for mail instead of spending a
+resume per quiet cycle:
+
+.. code-block:: python
+
+    elapsed, received = yield Idle(k)
+
+sends nothing for up to ``k`` cycles, starting with this one, and
+resumes on the cycle after one in which something arrived, or after
+``k`` cycles; ``elapsed`` is the number of cycles spent idle and
+``received`` is the last idle cycle's arrivals (empty on a timeout).  It
+behaves exactly like ``elapsed`` quiet ``yield Out()`` cycles — the
+engine just does not resume the generator for them.  :meth:`SyncProcess.sleep`
+idles this way.  A wrapper that drives an inner process one cycle per
+yield runs it through :func:`cycle_by_cycle`, which spells every
+``Idle`` out as quiet cycles.
+
+The engines size each send once, as it is sent
+(:func:`repro.core.message.bit_length`).
+
 Anonymity is structural: a process is built from ``(input value, ring
 size)`` only and has no way to learn its index.
 """
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterator, List, Optional, Tuple
+from typing import Any, Generator, Iterator, List, Optional, Tuple, Union
 
 from ..core.errors import ProtocolError
 from ..core.message import Port
@@ -124,8 +144,49 @@ class In:
         return f"In(left={self.left!r}, right={self.right!r})"
 
 
+class Idle:
+    """Send nothing for up to ``cycles`` cycles and wait for mail.
+
+    Yielded in place of an :class:`Out`; the generator resumes with
+    ``(elapsed, In)`` — see the module docstring.
+    """
+
+    __slots__ = ("cycles",)
+
+    def __init__(self, cycles: int) -> None:
+        if not isinstance(cycles, int) or cycles < 1:
+            raise ProtocolError(f"Idle needs at least one cycle, got {cycles!r}")
+        self.cycles = cycles
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"Idle({self.cycles})"
+
+
 #: Type of the generator a :meth:`SyncProcess.run` implementation returns.
-ProcessGen = Generator[Out, In, Any]
+ProcessGen = Generator[Union[Out, Idle], Union[In, Tuple[int, In]], Any]
+
+
+def cycle_by_cycle(gen: ProcessGen) -> Generator[Out, In, Any]:
+    """Drive ``gen`` one cycle per yield, spelling each ``Idle`` out.
+
+    Every ``Idle(k)`` becomes quiet ``Out()`` cycles until something
+    arrives or ``k`` cycles pass, exactly as the engine would run it, so
+    a wrapper that counts cycles per yield sees the old lock-step
+    protocol.  Returns ``gen``'s return value.
+    """
+    try:
+        step = next(gen)
+        while True:
+            if isinstance(step, Idle):
+                for elapsed in range(1, step.cycles + 1):
+                    received = yield Out()
+                    if received.any():
+                        break
+                step = gen.send((elapsed, received))
+            else:
+                step = gen.send((yield step))
+    except StopIteration as stop:
+        return stop.value
 
 
 class SyncProcess:
@@ -160,22 +221,25 @@ class SyncProcess:
     # Helpers usable inside run() via ``yield from``
     # ------------------------------------------------------------------
 
-    def sleep(self, cycles: int) -> Generator[Out, In, List[Tuple[int, In]]]:
+    def sleep(
+        self, cycles: int
+    ) -> Generator[Idle, Tuple[int, In], List[Tuple[int, In]]]:
         """Emit nothing for ``cycles`` cycles; collect what arrives.
 
         Returns a list of ``(cycle offset, In)`` for the cycles in which
-        something arrived.  This is the ``wait(n−1)`` of the pseudocode.
+        something arrived.  This is the ``wait(n−1)`` of the pseudocode;
+        it idles, so the engine resumes it only when mail arrives.
         """
         inbox: List[Tuple[int, In]] = []
-        for offset in range(cycles):
-            received = yield Out()
+        offset = 0
+        while offset < cycles:
+            elapsed, received = yield Idle(cycles - offset)
+            offset += elapsed
             if received.any():
-                inbox.append((offset, received))
+                inbox.append((offset - 1, received))
         return inbox
 
-    def emit_then_sleep(
-        self, out: Out, cycles: int
-    ) -> Generator[Out, In, List[Tuple[int, In]]]:
+    def emit_then_sleep(self, out: Out, cycles: int) -> ProcessGen:
         """Emit once, then stay silent; collect arrivals over all cycles.
 
         The emission cycle counts as offset 0; total duration is

@@ -8,6 +8,13 @@ One cycle has two half-steps:
    accepted by the neighbor at cycle ``t`` and shapes its behavior from
    cycle ``t+1`` on.
 
+A processor that yields :class:`~repro.sync.process.Idle` ``(k)`` sends
+nothing and is not resumed until something arrives or ``k`` cycles pass:
+the engine skips it in half-step 1 and resumes it with ``(elapsed, In)``
+on the cycle after an arrival or the timeout (a recorder still gets its
+``state-transition`` row for every skipped cycle, so recorded logs do not
+depend on whether a process idles or yields quiet ``Out()`` cycles).
+
 A message delivered to a still-idle processor wakes it: it starts at the
 next cycle with the waking messages available in
 :attr:`repro.sync.process.SyncProcess.wake_inbox`.  A message delivered to
@@ -30,12 +37,13 @@ every message costs exactly one bit (a beep).
 
 This engine is a hot path (every synchronous bound is checked by running
 it), so the loop keeps a live halted counter instead of scanning, reuses
-the per-cycle arrival buffers instead of reallocating them, and skips
-:class:`~repro.core.message.Envelope` construction unless a log is
-requested.  Delivered :class:`In` objects are allocated fresh only for
-processors that actually received something; the shared empty ``In``
-handed out otherwise must be treated as read-only (processes only ever
-read their inbox).
+the per-cycle arrival buffers instead of reallocating them, does not
+resume idling processors, routes only emissions that send something,
+sizes each send once, and skips :class:`~repro.core.message.Envelope`
+construction unless a log is requested.  Delivered :class:`In` objects
+are allocated fresh only for processors that actually received
+something; the shared empty ``In`` handed out otherwise must be treated
+as read-only (processes only ever read their inbox).
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from ..core.message import Envelope, Port, bit_length
 from ..core.ring import RingConfiguration
 from ..core.tracing import RunResult, TraceStats
 from ..topology.base import StaticRing, Topology
-from .process import ABSENT, In, Out, ProcessGen, SyncProcess
+from .process import ABSENT, Idle, In, Out, ProcessGen, SyncProcess
 from .wakeup import WakeupSchedule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -130,6 +138,11 @@ def run_synchronous(
     wake_time = list(wakeup.times)
     wake_messages: List[List] = [[] for _ in range(n)]
     last_in: List[In] = [_EMPTY_IN] * n
+    # An idling processor is skipped while ``cycle < idle_until[i]`` and
+    # nothing arrived; ``idle_from[i]`` is the cycle its Idle began.  Both
+    # are reset (0 and -1) when it resumes.
+    idle_until = [0] * n
+    idle_from = [-1] * n
     stats = TraceStats(keep_log=keep_log)
     budget = max_cycles if max_cycles is not None else default_cycle_budget(n)
 
@@ -162,6 +175,11 @@ def run_synchronous(
         for i in range(n):
             if halted[i] or wake_time[i] > cycle:
                 continue
+            if idle_until[i] > cycle and last_in[i] is _EMPTY_IN:
+                # Idling with nothing arrived: a quiet cycle, not a resume.
+                if recorder is not None:
+                    recorder.step(i, cycle)
+                continue
             gen = gens[i]
             try:
                 if gen is None:
@@ -176,7 +194,13 @@ def run_synchronous(
                 else:
                     if recorder is not None:
                         recorder.step(i, cycle)
-                    out = gen.send(last_in[i])
+                    start = idle_from[i]
+                    if start < 0:
+                        out = gen.send(last_in[i])
+                    else:
+                        idle_from[i] = -1
+                        idle_until[i] = 0
+                        out = gen.send((cycle - start, last_in[i]))
             except StopIteration as stop:
                 halted[i] = True
                 halted_count += 1
@@ -185,11 +209,17 @@ def run_synchronous(
                 if recorder is not None:
                     recorder.halt(i, cycle, stop.value)
                 continue
-            if not isinstance(out, Out):
+            if isinstance(out, Out):
+                if out.left is not ABSENT or out.right is not ABSENT:
+                    emissions.append((i, out))
+            elif isinstance(out, Idle):
+                idle_from[i] = cycle
+                idle_until[i] = cycle + out.cycles
+            else:
                 raise SimulationError(
-                    f"processor yielded {out!r}; processes must yield Out(...)"
+                    f"processor yielded {out!r}; processes must yield Out(...) "
+                    "or Idle(k)"
                 )
-            emissions.append((i, out))
 
         # --- half-step 2: delivery ------------------------------------
         if rewired:
@@ -206,8 +236,10 @@ def run_synchronous(
                 receiver, in_port = dest
                 if oblivious:
                     payload = None
+                bits = bit_length(payload)
+                stats.record_send(bits, cycle)
                 if keep_log:
-                    stats.record(
+                    stats.log.append(
                         Envelope(
                             sender=sender,
                             receiver=receiver,
@@ -217,8 +249,6 @@ def run_synchronous(
                             send_time=cycle,
                         )
                     )
-                else:
-                    stats.record_send(bit_length(payload), cycle)
                 if recorder is not None:
                     # Channel key: each (sender, out-port) is one link, and
                     # its message is delivered or dropped before the next
@@ -230,7 +260,7 @@ def run_synchronous(
                         port,
                         in_port,
                         payload,
-                        bit_length(payload),
+                        bits,
                         cycle,
                         channel=(sender, port),
                     )

@@ -10,7 +10,10 @@ every event, rebuild every per-cycle structure from scratch, scan
   delivery clock counts actual deliveries only — drops at halted
   processors are tallied in ``stats.dropped`` and do not tick the clock;
 * the one-message-per-port-per-cycle rule applies to waking processors
-  exactly as to awake ones.
+  exactly as to awake ones;
+* a synchronous process that yields ``Idle(k)`` sends nothing from that
+  cycle on and is resumed with ``(elapsed, In)`` on the cycle after one in
+  which something arrived, or after ``k`` cycles.
 
 ``tests/test_trace_equivalence.py`` asserts byte-identical traces between
 these and the optimized engines on randomized rings and schedules.  Keep
@@ -34,7 +37,7 @@ from repro.core.message import Envelope, Port
 from repro.core.ring import RingConfiguration
 from repro.core.tracing import RunResult, TraceStats
 from repro.obs.events import CLOCK_CYCLE, CLOCK_LAMPORT, Event, Recorder
-from repro.sync.process import ABSENT, In, Out, ProcessGen, SyncProcess
+from repro.sync.process import ABSENT, Idle, In, Out, ProcessGen, SyncProcess
 from repro.sync.simulator import ProcessFactory, default_cycle_budget
 from repro.sync.wakeup import WakeupSchedule
 from repro.asynch.simulator import default_event_budget
@@ -208,6 +211,8 @@ def run_synchronous_reference(
     wake_time = list(wakeup.times)
     wake_messages: List[List] = [[] for _ in range(n)]
     last_in: List[In] = [In() for _ in range(n)]
+    # (first idle cycle, k) of each processor's current Idle(k), or None.
+    idling: List[Optional[Tuple[int, int]]] = [None] * n
     stats = TraceStats(keep_log=keep_log)
     budget = max_cycles if max_cycles is not None else default_cycle_budget(n)
 
@@ -234,16 +239,26 @@ def run_synchronous_reference(
                     gen = proc.run()
                     gens[i] = gen
                     out = next(gen)
-                else:
+                elif idling[i] is None:
                     out = gen.send(last_in[i])
+                else:
+                    start, k = idling[i]
+                    if not last_in[i].any() and cycle - start < k:
+                        continue  # still idle: a quiet cycle
+                    idling[i] = None
+                    out = gen.send((cycle - start, last_in[i]))
             except StopIteration as stop:
                 halted[i] = True
                 outputs[i] = stop.value
                 halt_times[i] = cycle
                 continue
+            if isinstance(out, Idle):
+                idling[i] = (cycle, out.cycles)
+                continue
             if not isinstance(out, Out):
                 raise SimulationError(
-                    f"processor yielded {out!r}; processes must yield Out(...)"
+                    f"processor yielded {out!r}; processes must yield Out(...) "
+                    "or Idle(k)"
                 )
             emissions.append((i, out))
 

@@ -421,6 +421,14 @@ MALFORMED_STREAMS = {
     "result-not-base64": (_stream(_error_run(0), _done_run(1, "!!!")), "undecodable result_pickle"),
     "result-not-a-pickle": (_stream(_error_run(0), _done_run(1, "AAAA")), "undecodable result_pickle"),
     "result-not-a-string": (_stream(_error_run(0), _done_run(1, 123)), "undecodable result_pickle"),
+    "unknown-status": (
+        _stream(_error_run(0), b'{"type": "run", "index": 1, "digest": "d1", "status": "bogus"}'),
+        "run line 1 has an unknown status: 'bogus'",
+    ),
+    "error-without-message": (
+        _stream(_error_run(0), b'{"type": "run", "index": 1, "digest": "d1", "status": "error"}'),
+        "run line 1 is an error without a message",
+    ),
     "not-json": (_stream(_error_run(0), b"{not json", _error_run(1)), "not JSON"),
     "not-an-object": (_stream(_error_run(0), b"[1]", _error_run(1)), "not an object"),
 }

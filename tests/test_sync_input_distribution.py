@@ -16,6 +16,7 @@ from repro.algorithms.sync_input_distribution import (
 from repro.core import ConfigurationError, RingConfiguration, RingView
 from repro.perf.bench import workload_spec
 from repro.runtime import execute
+from repro.sync import run_synchronous
 
 
 def ground_truth(config: RingConfiguration):
@@ -114,3 +115,34 @@ class TestComplexity:
         config = RingConfiguration.random(n, random.Random(5), oriented=True)
         result = distribute_inputs_sync(config)
         assert max(result.halt_times) - min(result.halt_times) <= n + 1
+
+
+class CountingFig2(SyncInputDistribution):
+    """Figure 2, counting every time the engine resumes a processor."""
+
+    resumes = 0
+
+    def run(self):
+        CountingFig2.resumes += 1  # the engine's first next()
+        gen = super().run()
+        try:
+            step = next(gen)
+            while True:
+                received = yield step
+                CountingFig2.resumes += 1
+                step = gen.send(received)
+        except StopIteration as stop:
+            return stop.value
+
+
+class TestWork:
+    def test_resumes_track_messages(self):
+        """Relays and waits idle, so the engine resumes a processor about
+        once per message it handles, not once per cycle (n·cycles = 10800
+        resumes for 480 messages at n=32 when every quiet cycle resumed)."""
+        spec = workload_spec("sync_input_distribution", 32)
+        CountingFig2.resumes = 0
+        result = run_synchronous(spec.ring, CountingFig2)
+        assert result.outputs == execute(spec).outputs
+        assert result.stats.messages == 480
+        assert CountingFig2.resumes <= 3 * result.stats.messages

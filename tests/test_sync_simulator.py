@@ -11,7 +11,16 @@ from repro.core import (
     RingConfiguration,
     SimulationError,
 )
-from repro.sync import ABSENT, In, Out, SyncProcess, WakeupSchedule, run_synchronous
+from repro.obs.events import EventRecorder
+from repro.sync import (
+    ABSENT,
+    Idle,
+    In,
+    Out,
+    SyncProcess,
+    WakeupSchedule,
+    run_synchronous,
+)
 from repro.sync.process import expect_single
 from repro.core.errors import ProtocolError
 
@@ -222,3 +231,145 @@ class TestHelpers:
     def test_absent_singleton_falsy(self):
         assert not ABSENT
         assert repr(ABSENT) == "ABSENT"
+
+
+class Scripted(SyncProcess):
+    """Input ``("idle", k)``: one ``Idle(k)``, then report what resumed it.
+    Input ``("send", t)``: quiet until cycle ``t``, then one right send.
+    Input ``("quiet", 0)``: halt at once."""
+
+    def run(self):
+        role, k = self.input
+        if role == "idle":
+            elapsed, received = yield Idle(k)
+            return (elapsed, received.items())
+        if role == "send":
+            for _ in range(k):
+                yield Out()
+            yield Out(right="ping")
+        return None
+
+
+def _idle_run(idler, partner, wakeup=None):
+    """Processor 0 runs ``idler``; processor 1 (whose right send lands on
+    0's left port) runs ``partner``."""
+    config = RingConfiguration.oriented([idler, partner])
+    return run_synchronous(config, Scripted, wakeup=wakeup)
+
+
+class TestIdle:
+    def test_arrival_mid_idle_resumes_next_cycle(self):
+        result = _idle_run(("idle", 5), ("send", 2))
+        assert result.outputs[0] == (3, [(LEFT, "ping")])
+        assert result.halt_times[0] == 3
+
+    def test_timeout_resumes_with_k_and_empty_inbox(self):
+        result = _idle_run(("idle", 4), ("quiet", 0))
+        assert result.outputs[0] == (4, [])
+        assert result.halt_times[0] == 4
+
+    def test_arrival_on_last_idle_cycle(self):
+        result = _idle_run(("idle", 3), ("send", 2))
+        assert result.outputs[0] == (3, [(LEFT, "ping")])
+        assert result.halt_times[0] == 3
+
+    def test_arrival_after_the_idle_is_not_seen(self):
+        """The timeout resumes at cycle k, before that cycle's arrivals."""
+        result = _idle_run(("idle", 3), ("send", 3))
+        assert result.outputs[0] == (3, [])
+        assert result.stats.messages == 1  # sent, then dropped at a halted 0
+
+    @pytest.mark.parametrize("cycles", [0, -1])
+    def test_nonpositive_idle_raises(self, cycles):
+        with pytest.raises(ProtocolError):
+            Idle(cycles)
+
+    def test_idle_under_wakeup_schedule(self):
+        """0 wakes at cycle 2 and idles over cycles 2-4; mail at cycle 3."""
+        result = _idle_run(("idle", 3), ("send", 3), wakeup=WakeupSchedule((2, 0)))
+        assert result.outputs[0] == (2, [(LEFT, "ping")])
+        assert result.halt_times[0] == 4
+
+    def test_message_woken_processor_can_idle(self):
+        """A processor woken by mail starts next cycle and may idle at once."""
+
+        class WokenIdler(SyncProcess):
+            def run(self):
+                if self.woke_spontaneously:
+                    yield Out(right="wake")
+                    yield Out()
+                    yield Out(right="late")
+                    return None
+                elapsed, received = yield Idle(5)
+                return (elapsed, received.items())
+
+        result = run_synchronous(
+            RingConfiguration.oriented([0, 0]),
+            WokenIdler,
+            wakeup=WakeupSchedule((0, 9)),
+        )
+        # Woken at cycle 1, idles from cycle 1, "late" arrives at cycle 2.
+        assert result.outputs[1] == (2, [(LEFT, "late")])
+        assert result.halt_times[1] == 3
+
+
+class Gossip(SyncProcess):
+    """Sleeps ``input`` cycles, pings both ways, then listens for 2n
+    cycles; the output is every arrival with its offset.
+
+    ``spelled_out`` writes every wait as per-cycle ``yield Out()``, the
+    way :meth:`SyncProcess.sleep` did before it idled.
+    """
+
+    spelled_out = False
+
+    def wait(self, cycles):
+        if not self.spelled_out:
+            inbox = yield from self.sleep(cycles)
+            return inbox
+        inbox = []
+        for offset in range(cycles):
+            got = yield Out()
+            if got.any():
+                inbox.append((offset, got))
+        return inbox
+
+    def run(self):
+        heard = yield from self.wait(self.input)
+        got = yield Out(left=("l", self.input), right=("r", self.input))
+        heard.append((-1, got))
+        heard.extend((yield from self.wait(2 * self.n)))
+        return tuple((offset, tuple(got.items())) for offset, got in heard)
+
+
+class SpelledOutGossip(Gossip):
+    spelled_out = True
+
+
+class TestIdleRecording:
+    """Idling is invisible in a recorded log: every skipped cycle still
+    writes its ``state-transition`` row."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_event_log_matches_per_cycle_quiet_outs(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        n = rng.randrange(2, 8)
+        config = RingConfiguration.random(
+            n, rng, input_values=range(6), oriented=rng.random() < 0.5
+        )
+        wakeup = WakeupSchedule(tuple([0] + [rng.randrange(4) for _ in range(n - 1)]))
+        logs, results = [], []
+        for factory in (Gossip, SpelledOutGossip):
+            recorder = EventRecorder()
+            results.append(
+                run_synchronous(config, factory, wakeup=wakeup, recorder=recorder)
+            )
+            logs.append(recorder.events)
+        idled, spelled = results
+        assert idled.outputs == spelled.outputs
+        assert idled.halt_times == spelled.halt_times
+        assert idled.stats.per_cycle == spelled.stats.per_cycle
+        assert logs[0] == logs[1]
+        assert any(kind == "state-transition" for kind in (e.kind for e in logs[0]))

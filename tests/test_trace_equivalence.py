@@ -185,6 +185,20 @@ class WakeProbe(SyncProcess):
         return ("spont", self.input, received.items())
 
 
+class IdleProbe(SyncProcess):
+    """Idles ``input`` cycles, pings both ways, then idles and relays."""
+
+    def run(self):
+        heard = yield from self.sleep(self.input)
+        got = yield Out(left=("p", self.input), right=("p", self.input))
+        heard.append((-1, got))
+        heard.extend((yield from self.sleep(self.n + self.input)))
+        return (
+            self.woke_spontaneously,
+            tuple((offset, tuple(got.items())) for offset, got in heard),
+        )
+
+
 def _random_schedule(n: int, seed: int) -> WakeupSchedule:
     rng = random.Random(seed)
     times = [rng.randrange(0, 4) for _ in range(n)]
@@ -230,6 +244,23 @@ class TestSynchronous:
         want = outcome(
             lambda: run_synchronous_reference(
                 config, WakeProbe, wakeup=schedule, keep_log=True
+            )
+        )
+        assert_equivalent(got, want)
+
+    @given(st.integers(2, 9), st.integers(0, 10_000), st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_idle_under_wakeups(self, n, seed, wake_seed):
+        config = RingConfiguration.random(
+            n, random.Random(seed), input_values=range(6)
+        )
+        schedule = _random_schedule(n, wake_seed)
+        got = outcome(
+            lambda: run_synchronous(config, IdleProbe, wakeup=schedule, keep_log=True)
+        )
+        want = outcome(
+            lambda: run_synchronous_reference(
+                config, IdleProbe, wakeup=schedule, keep_log=True
             )
         )
         assert_equivalent(got, want)
