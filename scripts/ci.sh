@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 tests, the repo benchmark's own tests and short
 # checked runs of both its serve workloads, a full `report --jobs 2` that
-# must regenerate the committed EXPERIMENTS.md byte for byte, plus
+# must regenerate the committed EXPERIMENTS.md byte for byte, both cold
+# and again warm from the result cache the first run filled, plus
 # quick-mode smoke runs of the bench suites and the symmetry-analysis
 # pytest-benchmarks, so the perf harnesses themselves are exercised on
 # every change.  Engine parity,
@@ -39,14 +40,20 @@ echo "== repo benchmark smoke (serve_warm, 5 s, every result checked) =="
 # (`protocol.encode_run`), a path serve_cold does not take.
 python3 perfbench/run.py --workload serve_warm --seed 1 --seconds 5 --trace 0
 
-echo "== report regenerates EXPERIMENTS.md byte-identically (--jobs 2) =="
+echo "== report regenerates EXPERIMENTS.md byte-identically (--jobs 2, cold then warm cache) =="
 # The fourth byte-identity suite: every experiment, run through the pool,
-# must reproduce the committed tables exactly.
-report_copy="$(mktemp)"
-cp EXPERIMENTS.md "$report_copy"
-python -m repro report --jobs 2 --output "$report_copy" > /dev/null
-cmp "$report_copy" EXPERIMENTS.md
-rm -f "$report_copy"
+# must reproduce the committed tables exactly.  The first run fills a
+# fresh result cache; the second is answered from it and must match too.
+report_cache="$(mktemp -d)"
+cold_copy="$(mktemp)"
+warm_copy="$(mktemp)"
+cp EXPERIMENTS.md "$cold_copy"
+cp EXPERIMENTS.md "$warm_copy"
+python -m repro report --jobs 2 --cache "$report_cache" --output "$cold_copy" > /dev/null
+python -m repro report --jobs 2 --cache "$report_cache" --output "$warm_copy" > /dev/null
+cmp "$cold_copy" EXPERIMENTS.md
+cmp "$warm_copy" EXPERIMENTS.md
+rm -rf "$report_cache" "$cold_copy" "$warm_copy"
 
 echo "== bench smoke (quick, --jobs 2) =="
 python -m repro bench --quick --jobs 2 --output BENCH_smoke.json

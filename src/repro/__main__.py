@@ -6,21 +6,23 @@ Commands:
 * ``report``  — run every experiment and print the EXPERIMENTS.md body.
 * ``verify``  — re-verify every lower-bound construction numerically.
 * ``bench``   — run a benchmark suite (``--suite
-  simulators|analysis|obs|batch|all``), write BENCH_simulators.json /
-  BENCH_analysis.json / BENCH_obs.json / BENCH_batch.json.
+  simulators|analysis|obs|batch|dynamic|all``), write BENCH_simulators.json /
+  BENCH_analysis.json / BENCH_obs.json / BENCH_batch.json /
+  BENCH_dynamic.json.
 * ``fuzz``    — schedule-fuzz the asynchronous algorithm registry
   (optionally with drop/dup/crash/delay fault injection), shrink any
   failing schedule to a minimal replayable witness, write FUZZ.json.
 * ``trace``   — run one algorithm with event recording on, write the
   JSONL event log + a Perfetto-loadable Chrome trace, and draw the
   space–time diagram from the recorded events.
-* ``cache``   — inspect (``stats``), clean (``prune``), or migrate
-  (``migrate``, pickle layout → sqlite) the on-disk result cache;
-  ``--backend pickle|sqlite`` picks the store (default: auto-detect).
+* ``cache``   — inspect (``stats``) or clean (``prune``, optionally
+  evicting least-recently-used entries to ``--max-bytes``) the on-disk
+  result cache.
 * ``serve``   — the asyncio HTTP gateway: accept RunSpec batches over
   HTTP, answer warm digests from the shared cache, queue cold specs
-  (bounded, 429 on overflow) onto Runner worker processes, stream
-  per-run status + obs events as NDJSON (see docs/serve.md).
+  (bounded, 429 on overflow) onto Runner worker processes, stream one
+  NDJSON line per run (status and pickled result; a recorded run's
+  events ride inside it; see docs/serve.md).
 * ``submit``  — client for ``serve``: post a JSON spec file to a
   gateway and print per-run outcomes.
 
@@ -37,18 +39,21 @@ import sys
 import time
 
 
+def _cache_for(args: argparse.Namespace):
+    """The cache at ``--cache``, else at $REPRO_CACHE_DIR, else ``None``."""
+    from .runtime import ResultCache, default_cache
+
+    return ResultCache(args.cache) if getattr(args, "cache", None) else default_cache()
+
+
 def _make_runner(args: argparse.Namespace):
     """A Runner honouring ``--jobs``, ``--cache`` / $REPRO_CACHE_DIR, ``--progress``."""
-    from .runtime import Runner, default_cache, open_cache
+    from .runtime import Runner
 
-    if getattr(args, "cache", None):
-        # Auto-detects the layout, so a migrated (sqlite) root keeps
-        # answering report/bench/fuzz without any flag changes.
-        cache = open_cache(args.cache)
-    else:
-        cache = default_cache()
     return Runner(
-        jobs=args.jobs, cache=cache, progress=bool(getattr(args, "progress", False))
+        jobs=args.jobs,
+        cache=_cache_for(args),
+        progress=bool(getattr(args, "progress", False)),
     )
 
 
@@ -383,59 +388,25 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    import os
-
-    from .runtime import CACHE_DIR_ENV, open_cache
-    from .runtime.cache_sqlite import migrate_pickle_cache
-
-    root = args.cache or os.environ.get(CACHE_DIR_ENV)
-    if not root:
+    cache = _cache_for(args)
+    if cache is None:
         print(
             "no cache directory: pass --cache DIR or set $REPRO_CACHE_DIR",
             file=sys.stderr,
         )
         return 2
-    if args.action == "migrate":
-        outcome = migrate_pickle_cache(root)
-        print(
-            f"migrated {outcome['migrated']} entries to sqlite "
-            f"({outcome['skipped']} unreadable skipped, "
-            f"{outcome['kept']} already present)"
-        )
-        return 0
-    cache = open_cache(root, args.backend)
     if args.action == "stats":
         stats = cache.stats()
-        print(f"cache root: {stats['root']} [{stats['backend']}]")
-        print(
-            f"  entries: {stats['entries']}  bytes: {stats['bytes']}"
-            + (
-                f"  orphaned tmp files: {stats['tmp_files']}"
-                if stats.get("tmp_files")
-                else ""
-            )
-        )
+        print(f"cache root: {stats['root']}")
+        print(f"  entries: {stats['entries']}  bytes: {stats['bytes']}")
         print(
             f"  lifetime: {stats['lifetime_hits']} hits, "
             f"{stats['lifetime_misses']} misses, "
             f"{stats['lifetime_writes']} writes"
         )
         return 0
-    if args.max_bytes is not None:
-        from .runtime import SqliteResultCache
-
-        if not isinstance(cache, SqliteResultCache):
-            print("--max-bytes needs the sqlite backend", file=sys.stderr)
-            return 2
-        outcome = cache.prune(max_bytes=args.max_bytes)
-    else:
-        outcome = cache.prune()
-    extras = []
-    if outcome.get("tmp_removed"):
-        extras.append(f"{outcome['tmp_removed']} orphaned tmp files")
-    if outcome.get("evicted"):
-        extras.append(f"{outcome['evicted']} LRU-evicted")
-    suffix = f" (incl. {', '.join(extras)})" if extras else ""
+    outcome = cache.prune(max_bytes=args.max_bytes)
+    suffix = f" (incl. {outcome['evicted']} LRU-evicted)" if outcome["evicted"] else ""
     print(
         f"pruned {outcome['removed']} stale entries{suffix} "
         f"({outcome['freed_bytes']} bytes); {outcome['kept']} kept"
@@ -446,18 +417,9 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .runtime import open_cache
     from .serve.app import run_server
 
-    cache = open_cache(args.cache, args.backend) if args.cache else None
-    if cache is None:
-        import os
-
-        from .runtime import CACHE_DIR_ENV
-
-        root = os.environ.get(CACHE_DIR_ENV)
-        if root:
-            cache = open_cache(root, args.backend)
+    cache = _cache_for(args)
 
     def ready(server, _gateway) -> None:
         # Machine-readable readiness line (the CI smoke parses the url).
@@ -543,7 +505,8 @@ def main(argv=None) -> int:
     )
     bench = sub.add_parser(
         "bench",
-        help="run a benchmark suite, write BENCH_simulators.json / BENCH_analysis.json",
+        help="run a benchmark suite, write its BENCH_*.json (simulators, "
+        "analysis, obs, batch, dynamic)",
     )
     bench.add_argument(
         "--suite",
@@ -673,10 +636,8 @@ def main(argv=None) -> int:
         help="skip the ASCII space-time diagram",
     )
     trace.set_defaults(fn=_cmd_trace)
-    cache = sub.add_parser(
-        "cache", help="inspect, clean, or migrate the result cache"
-    )
-    cache.add_argument("action", choices=("stats", "prune", "migrate"))
+    cache = sub.add_parser("cache", help="inspect or clean the result cache")
+    cache.add_argument("action", choices=("stats", "prune"))
     cache.add_argument(
         "--cache",
         default=None,
@@ -684,19 +645,12 @@ def main(argv=None) -> int:
         help="cache directory (default: $REPRO_CACHE_DIR)",
     )
     cache.add_argument(
-        "--backend",
-        choices=("auto", "pickle", "sqlite"),
-        default="auto",
-        help="cache store: pickle-per-file directory or sqlite database "
-        "(auto: sqlite when the root holds cache.sqlite)",
-    )
-    cache.add_argument(
         "--max-bytes",
         type=int,
         default=None,
         metavar="N",
-        help="with prune + the sqlite backend: also evict least-recently-"
-        "used entries until the store fits N bytes",
+        help="with prune: also evict least-recently-used entries until "
+        "the store fits N bytes",
     )
     cache.set_defaults(fn=_cmd_cache)
     serve = sub.add_parser(
@@ -724,12 +678,6 @@ def main(argv=None) -> int:
         metavar="DIR",
         help="shared result cache (default: $REPRO_CACHE_DIR if set, else "
         "no cache — every spec runs cold)",
-    )
-    serve.add_argument(
-        "--backend",
-        choices=("auto", "pickle", "sqlite"),
-        default="auto",
-        help="cache backend (auto-detected from the root by default)",
     )
     serve.set_defaults(fn=_cmd_serve)
     submit = sub.add_parser(

@@ -41,7 +41,7 @@ from .leader_election import (
     elect_leader,
     worst_case_labels,
 )
-from .leader_election_sync import ChangRobertsSync, elect_leader_sync
+from .leader_election_sync import ChangRobertsSync
 from .orientation import QuasiOrientation, orient_ring, quasi_orient
 from .orientation_async import majority_switch_bit, orient_ring_async
 from .start_sync import StartSynchronization, synchronize_start
@@ -99,7 +99,6 @@ __all__ = [
     "distribute_inputs_sync",
     "distribute_inputs_sync_uni",
     "elect_leader",
-    "elect_leader_sync",
     "expected_message_count",
     "find_extremum_distinct",
     "find_extremum_general",

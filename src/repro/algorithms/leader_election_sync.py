@@ -26,14 +26,11 @@ all the equivalence contract asks).
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from ..core.errors import ConfigurationError, ProtocolError
 from ..core.message import Port
-from ..core.ring import RingConfiguration
-from ..core.tracing import RunResult
 from ..sync.process import Out, SyncProcess
-from ..sync.simulator import run_synchronous
 
 #: Message tags (the wire format is ``(tag, label)``).
 _CAND = 0
@@ -87,17 +84,6 @@ class ChangRobertsSync(SyncProcess):
                 pending.right = payload
             # smaller labels are swallowed
         raise ProtocolError("no leader emerged")
-
-
-def elect_leader_sync(
-    config: RingConfiguration, max_cycles: Optional[int] = None
-) -> RunResult:
-    """Run the synchronous election on a clockwise-oriented labeled ring."""
-    if not config.is_oriented:
-        raise ConfigurationError(
-            "chang-roberts-sync assumes a consistently oriented ring"
-        )
-    return run_synchronous(config, ChangRobertsSync, max_cycles=max_cycles)
 
 
 def message_bound(n: int) -> int:

@@ -1,10 +1,10 @@
 """Exception hierarchy for the anonymous-ring reproduction library.
 
 All library-specific errors derive from :class:`ReproError`, so callers can
-catch a single base class.  Errors are split along the paper's own fault
-lines: model violations (an algorithm trying to do something the §2 machine
-model forbids), configuration problems (malformed rings), and impossibility
-(asking for a computation the paper proves cannot exist).
+catch a single base class.  Errors are split along three lines: model
+violations (an algorithm trying to do something the §2 machine model
+forbids), configuration problems (malformed rings), and simulation
+failures (disagreeing outputs, runs that never halt).
 """
 
 from __future__ import annotations
@@ -23,16 +23,6 @@ class ModelViolationError(ReproError):
 
     Examples: sending on a nonexistent port, sending after halting, or a
     processor attempting to read its own index (anonymity breach).
-    """
-
-
-class NotComputableError(ReproError):
-    """The requested problem has no distributed solution on this ring.
-
-    Raised by constructions that correspond to the paper's impossibility
-    theorems: orientation of even rings (Theorem 3.5), functions that are
-    not cyclic-shift invariant (Theorem 3.4), size-oblivious algorithms
-    (Theorems 3.2 and 3.3).
     """
 
 

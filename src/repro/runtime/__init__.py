@@ -13,39 +13,25 @@ ring model.  This package is the one place that running happens:
   batch execution over a ``multiprocessing`` pool, plus
   :func:`derive_seed` for replayable per-task seeding;
 * :mod:`repro.runtime.cache` — :class:`ResultCache`, a content-addressed
-  on-disk store keyed by ``spec.digest()`` and the package's code
-  version.
+  on-disk store (one sqlite database) keyed by ``spec.digest()`` and the
+  package's code version.
 
 The determinism contract (results are bit-identical for every ``jobs``
 value) and the cache layout are documented in ``docs/runtime.md``.
 """
 
-from .cache import (
-    CACHE_BACKEND_ENV,
-    CACHE_BACKENDS,
-    CACHE_DIR_ENV,
-    CacheBackend,
-    ResultCache,
-    code_version,
-    default_cache,
-    open_cache,
-)
-from .cache_sqlite import SqliteResultCache, migrate_pickle_cache
+from .cache import CACHE_DIR_ENV, ResultCache, code_version, default_cache
 from .registry import AlgorithmEntry, algorithm, register, registered_algorithms
 from .runner import Runner, Sweep, TaskCall, derive_seed, invoke, resolve, task_digest
 from .spec import ENGINES, SCHEDULERS, RunSpec, execute
 
 __all__ = [
-    "CACHE_BACKEND_ENV",
-    "CACHE_BACKENDS",
     "CACHE_DIR_ENV",
     "ENGINES",
     "SCHEDULERS",
     "AlgorithmEntry",
-    "CacheBackend",
     "ResultCache",
     "RunSpec",
-    "SqliteResultCache",
     "Runner",
     "Sweep",
     "TaskCall",
@@ -55,8 +41,6 @@ __all__ = [
     "derive_seed",
     "execute",
     "invoke",
-    "migrate_pickle_cache",
-    "open_cache",
     "register",
     "registered_algorithms",
     "resolve",

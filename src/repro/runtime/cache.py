@@ -1,4 +1,4 @@
-"""Content-addressed on-disk result cache.
+"""Content-addressed on-disk result cache: one WAL-mode sqlite database.
 
 Results are stored under their spec digest (see
 :meth:`repro.runtime.spec.RunSpec.digest`), and every digest mixes in
@@ -9,46 +9,50 @@ names, git state) ever enters a key: two executions of the same spec on
 the same code hit the same slot, whichever machine or worker produced
 them first.
 
-The cache is deliberately dumb: one pickle file per result, sharded by
-digest prefix, written atomically (tmp file + rename) so concurrent pool
-workers can share a directory without locks.  A corrupt or unreadable
-entry is treated as a miss and overwritten.
+:class:`ResultCache` keeps every entry in one database,
+``cache.sqlite`` at the cache root:
 
-Every entry is stored inside a small wrapper tuple that names the
-:func:`code_version` that produced it.  The version in the *key* already
-guarantees correctness (stale entries are simply never looked up); the
-version in the *entry* is what makes ``python -m repro cache prune``
-possible — orphaned entries from older code can be identified and
-removed without knowing the keys that once reached them.
+* **Versioned rows** — the producing :func:`code_version` is stored per
+  row, so ``python -m repro cache prune`` can drop entries from older
+  code without knowing the keys that once reached them.
+* **Concurrency** — WAL mode lets readers proceed under a writer; every
+  write is a single short transaction serialized by sqlite's own lock
+  (with a generous busy timeout), so "atomic put, last writer wins"
+  holds across processes, threads, and machines sharing a filesystem
+  that supports POSIX locks.
+* **Corrupt-entry-is-a-miss** — a garbage blob (or a torn database) is
+  reported as a miss, never an exception out of :meth:`ResultCache.get`
+  (see :data:`CORRUPT_ENTRY_ERRORS`); the dead row is dropped.
+* **Read-only hits** — a hit is one ``SELECT`` and an unpickle.  Its
+  ``last_access`` bump waits in memory and is written by
+  :meth:`ResultCache.flush_counters` (with the counters) or before
+  :meth:`ResultCache.prune` evicts.
+* **Exact lifetime counters** — hit/miss/write counts persist across
+  processes; each flush is one transaction of ``value + n`` upserts, so
+  concurrent flushers never lose each other's increments.
+* **LRU-ish eviction** — ``prune(max_bytes=...)`` evicts the least
+  recently used current entries down to a byte budget.
 
-Hit/miss/write counters persist across processes in a ``counters.json``
-at the cache root (merged in by :meth:`ResultCache.flush_counters`), so
-``python -m repro cache stats`` can report lifetime totals, not just the
-current process's.
+A directory written by the older pickle-per-file layout (two-hex-digit
+shards of ``*.pkl`` files and a ``counters.json``) is ignored: its
+entries were keyed by an older :func:`code_version` and can never hit
+again, so such directories can simply be deleted.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import pickle
+import sqlite3
 import struct
-import tempfile
+import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Protocol, Tuple, runtime_checkable
-
-from ..core.errors import ConfigurationError
+from typing import Any, Dict, Optional, Tuple
 
 #: Environment variable consulted by the CLI for a default cache root.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Environment variable selecting the default backend (``pickle``/``sqlite``).
-CACHE_BACKEND_ENV = "REPRO_CACHE_BACKEND"
-
-#: Backend names :func:`open_cache` resolves.
-CACHE_BACKENDS = ("pickle", "sqlite")
 
 #: Everything a truncated, garbage, or half-written pickle can raise.
 #:
@@ -76,44 +80,6 @@ CORRUPT_ENTRY_ERRORS = (
     MemoryError,
 )
 
-#: ``prune`` leaves ``*.tmp`` files younger than this alone: they may be
-#: a concurrent worker's in-flight atomic write, not an orphan.
-TMP_GRACE_SECONDS = 60.0
-
-
-@runtime_checkable
-class CacheBackend(Protocol):
-    """What every result-cache backend provides.
-
-    Extracted from :class:`ResultCache` so alternative stores (the
-    sqlite backend in :mod:`repro.runtime.cache_sqlite`) can slot into
-    :class:`~repro.runtime.runner.Runner` and the CLI unchanged.  The
-    contract, shared by all implementations:
-
-    * ``get`` never raises on a corrupt, truncated, or foreign entry —
-      unreadable means miss (see :data:`CORRUPT_ENTRY_ERRORS`);
-    * ``put`` is atomic with respect to concurrent readers and safe
-      under concurrent writers of the same key (last writer wins);
-    * ``hits``/``misses``/``writes`` are per-instance counters and
-      ``flush_counters`` folds them into per-root lifetime totals;
-    * ``stats``/``prune`` report and maintain the store without ever
-      removing a live current-version entry.
-    """
-
-    hits: int
-    misses: int
-    writes: int
-
-    def get(self, key: str) -> Tuple[bool, Any]: ...
-
-    def put(self, key: str, value: Any) -> None: ...
-
-    def stats(self) -> Dict[str, Any]: ...
-
-    def prune(self) -> Dict[str, int]: ...
-
-    def flush_counters(self) -> None: ...
-
 _code_version: Optional[str] = None
 
 
@@ -137,21 +103,40 @@ def code_version() -> str:
     return _code_version
 
 
-#: First element of every stored entry tuple (see module docstring).
-_ENTRY_MARKER = "repro-cache"
+#: Filename of the database inside a cache root.
+SQLITE_DB_NAME = "cache.sqlite"
 
-#: Name of the persistent counter file at the cache root.
-COUNTERS_FILE = "counters.json"
+_SCHEMA = """
+CREATE TABLE IF NOT EXISTS entries (
+    key TEXT PRIMARY KEY,
+    version TEXT NOT NULL,
+    value BLOB NOT NULL,
+    nbytes INTEGER NOT NULL,
+    created_at REAL NOT NULL,
+    last_access REAL NOT NULL
+);
+CREATE INDEX IF NOT EXISTS entries_last_access ON entries(last_access);
+CREATE TABLE IF NOT EXISTS counters (
+    name TEXT PRIMARY KEY,
+    value INTEGER NOT NULL
+);
+"""
+
+#: How long a writer waits on sqlite's lock before giving up (seconds).
+BUSY_TIMEOUT = 30.0
 
 
 class ResultCache:
-    """Pickle-per-entry cache keyed by content digests.
+    """The result cache over one WAL database (see module docstring).
+
+    Safe to share one root between processes; each process/thread lazily
+    opens its own connection (connections never survive a ``fork``).
 
     Attributes:
-        root: cache directory (created lazily on first write).
+        root: cache directory (created on first use).
         hits / misses / writes: per-instance counters, handy for tests
             and ``--cache`` CLI summaries; :meth:`flush_counters` folds
-            them into the root's persistent ``counters.json``.
+            them into the root's persistent lifetime totals.
     """
 
     def __init__(self, root: os.PathLike) -> None:
@@ -162,101 +147,117 @@ class ResultCache:
         # High-water marks of what flush_counters already persisted, so
         # the public counters stay monotonically increasing observables.
         self._flushed = {"hits": 0, "misses": 0, "writes": 0}
+        self._local = threading.local()
+        # key -> time of its latest unwritten hit.  Gateway hits arrive
+        # on the event-loop thread while flushes run on an executor
+        # thread, so inserts and the swap in _write_touches hold a lock.
+        self._touched: Dict[str, float] = {}
+        self._touch_lock = threading.Lock()
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
+    @property
+    def db_path(self) -> Path:
+        return self.root / SQLITE_DB_NAME
+
+    def _connect(self) -> sqlite3.Connection:
+        """This thread's connection, (re)opened after a fork.
+
+        ``threading.local`` keys the connection by thread; the stored
+        pid guards against inheriting a parent's connection across
+        ``fork`` (sqlite connections must not cross processes).
+        """
+        conn: Optional[sqlite3.Connection] = getattr(self._local, "conn", None)
+        if conn is not None and getattr(self._local, "pid", None) == os.getpid():
+            return conn
+        self.root.mkdir(parents=True, exist_ok=True)
+        conn = sqlite3.connect(self.db_path, timeout=BUSY_TIMEOUT)
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.execute("PRAGMA synchronous=NORMAL")
+        with conn:
+            conn.executescript(_SCHEMA)
+        self._local.conn = conn
+        self._local.pid = os.getpid()
+        return conn
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        # Connections and unwritten bumps never cross pickling.
+        for name in ("_local", "_touched", "_touch_lock"):
+            state.pop(name)
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._local = threading.local()
+        self._touched = {}
+        self._touch_lock = threading.Lock()
 
     def get(self, key: str) -> Tuple[bool, Any]:
         """``(True, value)`` on a hit, ``(False, None)`` on a miss."""
-        path = self._path(key)
         try:
-            with path.open("rb") as handle:
-                entry = pickle.load(handle)
+            conn = self._connect()
+            row = conn.execute(
+                "SELECT value FROM entries WHERE key = ?", (key,)
+            ).fetchone()
+        except sqlite3.Error:
+            self.misses += 1
+            return False, None
+        if row is None:
+            self.misses += 1
+            return False, None
+        try:
+            value = pickle.loads(row[0])
         except CORRUPT_ENTRY_ERRORS:
+            # Corrupt blob: a miss, and the row is dead weight — drop it
+            # best-effort so the slot is rewritten cleanly.
+            try:
+                with conn:
+                    conn.execute("DELETE FROM entries WHERE key = ?", (key,))
+            except sqlite3.Error:
+                pass
             self.misses += 1
             return False, None
-        # Entries not in the wrapper format (pre-wrapper caches, foreign
-        # files) are misses: a fresh write replaces them.
-        if (
-            not isinstance(entry, tuple)
-            or len(entry) != 3
-            or entry[0] != _ENTRY_MARKER
-        ):
-            self.misses += 1
-            return False, None
+        now = time.time()
+        with self._touch_lock:
+            self._touched[key] = now
         self.hits += 1
-        return True, entry[2]
+        return True, value
 
     def put(self, key: str, value: Any) -> None:
-        """Store atomically; concurrent writers of the same key both win."""
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        entry = (_ENTRY_MARKER, code_version(), value)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(entry, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        """Store in one transaction; concurrent writers of a key both win."""
+        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        now = time.time()
+        conn = self._connect()
+        with conn:
+            conn.execute(
+                "INSERT INTO entries (key, version, value, nbytes, created_at,"
+                " last_access) VALUES (?, ?, ?, ?, ?, ?)"
+                " ON CONFLICT(key) DO UPDATE SET version = excluded.version,"
+                " value = excluded.value, nbytes = excluded.nbytes,"
+                " last_access = excluded.last_access",
+                (key, code_version(), blob, len(blob), now, now),
+            )
         self.writes += 1
-
-    def _entries(self):
-        """Yield every entry file under the root (two-hex-digit shards)."""
-        if not self.root.is_dir():
-            return
-        for shard in sorted(self.root.iterdir()):
-            if not (shard.is_dir() and len(shard.name) == 2):
-                continue
-            yield from sorted(shard.glob("*.pkl"))
-
-    def _tmp_files(self) -> Iterator[Path]:
-        """Yield every ``*.tmp`` under the root (shards and the root itself).
-
-        A worker killed mid-:meth:`put` (SIGKILL skips the cleanup
-        handler) leaves its ``mkstemp`` file behind; :meth:`flush_counters`
-        can leave one at the root the same way.  They are invisible to
-        :meth:`_entries` by design — this is the sweep that finds them.
-        """
-        if not self.root.is_dir():
-            return
-        yield from sorted(self.root.glob("*.tmp"))
-        for shard in sorted(self.root.iterdir()):
-            if shard.is_dir() and len(shard.name) == 2:
-                yield from sorted(shard.glob("*.tmp"))
 
     def stats(self) -> Dict[str, Any]:
         """Entry count, total bytes, and lifetime + in-process counters.
 
-        The ``lifetime_*`` numbers come from the persistent
-        ``counters.json`` (everything previous processes flushed) plus
-        this instance's still-unflushed counters.
+        The ``lifetime_*`` numbers are everything flushed to the root so
+        far plus this instance's still-unflushed counters.
         """
         entries = 0
         size = 0
-        for path in self._entries():
-            entries += 1
-            try:
-                size += path.stat().st_size
-            except OSError:
-                continue
-        tmp_files = 0
-        for path in self._tmp_files():
-            tmp_files += 1
-            try:
-                size += path.stat().st_size
-            except OSError:
-                continue
+        try:
+            conn = self._connect()
+            row = conn.execute(
+                "SELECT COUNT(*), COALESCE(SUM(nbytes), 0) FROM entries"
+            ).fetchone()
+            entries, size = int(row[0]), int(row[1])
+        except sqlite3.Error:
+            pass
         persisted = self._read_counters()
         return {
             "root": str(self.root),
-            "backend": "pickle",
             "entries": entries,
-            "tmp_files": tmp_files,
             "bytes": size,
             "hits": self.hits,
             "misses": self.misses,
@@ -270,113 +271,96 @@ class ResultCache:
             - self._flushed["writes"],
         }
 
-    def prune(self, tmp_grace_seconds: float = TMP_GRACE_SECONDS) -> Dict[str, int]:
-        """Remove entries whose stored code version is not the current one.
+    def prune(self, max_bytes: Optional[int] = None) -> Dict[str, int]:
+        """Drop stale-version entries; optionally evict LRU to a byte budget.
 
-        Such entries can never be hit again — every lookup key mixes in
-        the current :func:`code_version` — so removing them only frees
-        disk.  Unreadable or non-wrapper files are stale by definition
-        and removed too, and so are orphaned ``*.tmp`` files older than
-        ``tmp_grace_seconds`` (the leftovers of writers killed mid-write;
-        younger ones are spared because they may be a concurrent worker's
-        in-flight atomic write).  Returns ``{"removed": ..., "kept": ...,
-        "freed_bytes": ..., "tmp_removed": ...}``; ``removed`` includes
-        the swept tmp files.
+        Stale entries (``version != code_version()``) can never be hit
+        again and always go.  With ``max_bytes`` set, least-recently-used
+        current entries are then evicted until the stored bytes fit the
+        budget; this instance's unwritten hits count as uses.  Returns
+        ``{"removed", "kept", "freed_bytes", "evicted"}``; ``removed``
+        includes the evicted entries.
         """
         current = code_version()
-        removed = kept = freed = tmp_removed = 0
-        for path in list(self._entries()):
-            stale = False
-            try:
-                with path.open("rb") as handle:
-                    entry = pickle.load(handle)
-            except CORRUPT_ENTRY_ERRORS:
-                stale = True
-            else:
-                stale = (
-                    not isinstance(entry, tuple)
-                    or len(entry) != 3
-                    or entry[0] != _ENTRY_MARKER
-                    or entry[1] != current
+        conn = self._connect()
+        removed = freed = evicted = 0
+        with conn:
+            self._write_touches(conn)
+            row = conn.execute(
+                "SELECT COUNT(*), COALESCE(SUM(nbytes), 0) FROM entries"
+                " WHERE version != ?",
+                (current,),
+            ).fetchone()
+            removed, freed = int(row[0]), int(row[1])
+            conn.execute("DELETE FROM entries WHERE version != ?", (current,))
+            if max_bytes is not None:
+                total = int(
+                    conn.execute(
+                        "SELECT COALESCE(SUM(nbytes), 0) FROM entries"
+                    ).fetchone()[0]
                 )
-            if not stale:
-                kept += 1
-                continue
-            try:
-                size = path.stat().st_size
-                path.unlink()
-            except OSError:
-                continue
-            removed += 1
-            freed += size
-        cutoff = time.time() - tmp_grace_seconds
-        for path in list(self._tmp_files()):
-            try:
-                status = path.stat()
-            except OSError:
-                continue
-            if status.st_mtime > cutoff:
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            removed += 1
-            tmp_removed += 1
-            freed += status.st_size
+                if total > max_bytes:
+                    for key, nbytes in conn.execute(
+                        "SELECT key, nbytes FROM entries ORDER BY last_access, key"
+                    ):
+                        conn.execute("DELETE FROM entries WHERE key = ?", (key,))
+                        total -= int(nbytes)
+                        freed += int(nbytes)
+                        evicted += 1
+                        if total <= max_bytes:
+                            break
+            kept = int(conn.execute("SELECT COUNT(*) FROM entries").fetchone()[0])
         return {
-            "removed": removed,
+            "removed": removed + evicted,
             "kept": kept,
             "freed_bytes": freed,
-            "tmp_removed": tmp_removed,
+            "evicted": evicted,
         }
-
-    def _counters_path(self) -> Path:
-        return self.root / COUNTERS_FILE
 
     def _read_counters(self) -> Dict[str, int]:
         try:
-            data = json.loads(self._counters_path().read_text())
-        except (OSError, ValueError):
+            conn = self._connect()
+            rows = conn.execute("SELECT name, value FROM counters").fetchall()
+        except sqlite3.Error:
             return {}
-        return data if isinstance(data, dict) else {}
+        return {str(name): int(value) for name, value in rows}
+
+    def _write_touches(self, conn: sqlite3.Connection) -> None:
+        """Write the unwritten hits' ``last_access`` bumps in ``conn``'s
+        open transaction (never moving a row's ``last_access`` back)."""
+        with self._touch_lock:
+            touched, self._touched = self._touched, {}
+        if touched:
+            conn.executemany(
+                "UPDATE entries SET last_access = MAX(last_access, ?) WHERE key = ?",
+                [(at, key) for key, at in touched.items()],
+            )
 
     def flush_counters(self) -> None:
-        """Fold not-yet-persisted counter increments into the file.
+        """Fold unflushed counters and hit bumps into the database — exactly.
 
-        Atomic (tmp + rename) like :meth:`put`; concurrent flushers can
-        lose each other's increments in a read-modify-write race, which
-        is acceptable for advisory statistics.  The public counters are
-        left untouched (they keep growing for the process's lifetime);
-        an internal watermark prevents double-counting across flushes.
+        One transaction per flush: concurrent flushers cannot lose each
+        other's increments, so lifetime totals across any number of
+        processes are precise.  The public counters are left untouched
+        (they keep growing for the process's lifetime); an internal
+        watermark prevents double-counting across flushes.
         """
-        deltas = {
-            "hits": self.hits - self._flushed["hits"],
-            "misses": self.misses - self._flushed["misses"],
-            "writes": self.writes - self._flushed["writes"],
-        }
-        if not any(deltas.values()):
+        counts = {"hits": self.hits, "misses": self.misses, "writes": self.writes}
+        deltas = {name: counts[name] - self._flushed[name] for name in counts}
+        if not self._touched and not any(deltas.values()):
             return
-        self.root.mkdir(parents=True, exist_ok=True)
-        totals = self._read_counters()
-        for name, delta in deltas.items():
-            totals[name] = int(totals.get(name, 0)) + delta
-        fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                json.dump(totals, handle, sort_keys=True)
-            os.replace(tmp_name, self._counters_path())
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        self._flushed = {
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-        }
+        conn = self._connect()
+        with conn:
+            self._write_touches(conn)
+            for name, delta in deltas.items():
+                if delta:
+                    conn.execute(
+                        "INSERT INTO counters (name, value) VALUES (?, ?)"
+                        " ON CONFLICT(name) DO UPDATE SET"
+                        " value = value + excluded.value",
+                        (name, delta),
+                    )
+        self._flushed = counts
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -385,39 +369,9 @@ class ResultCache:
         )
 
 
-#: Filename of the sqlite backend's database inside a cache root —
-#: doubles as the marker :func:`open_cache` auto-detects a backend by.
-SQLITE_DB_NAME = "cache.sqlite"
-
-
-def open_cache(root: os.PathLike, backend: Optional[str] = None) -> CacheBackend:
-    """Open the cache at ``root`` with the named (or detected) backend.
-
-    ``backend=None`` (or ``"auto"``) picks sqlite when the root already
-    holds a ``cache.sqlite`` database and the pickle-per-file layout
-    otherwise, so existing caches keep working untouched and migrated
-    roots are picked up automatically.
-    """
-    if backend in (None, "auto"):
-        backend = "sqlite" if (Path(root) / SQLITE_DB_NAME).exists() else "pickle"
-    if backend == "pickle":
-        return ResultCache(root)
-    if backend == "sqlite":
-        from .cache_sqlite import SqliteResultCache
-
-        return SqliteResultCache(root)
-    raise ConfigurationError(
-        f"unknown cache backend {backend!r}; choose from {CACHE_BACKENDS}"
-    )
-
-
-def default_cache() -> Optional[CacheBackend]:
-    """The cache named by ``$REPRO_CACHE_DIR``, or ``None`` when unset.
-
-    ``$REPRO_CACHE_BACKEND`` (``pickle``/``sqlite``) forces a backend;
-    unset, the backend is auto-detected from the root's layout.
-    """
+def default_cache() -> Optional[ResultCache]:
+    """The cache named by ``$REPRO_CACHE_DIR``, or ``None`` when unset."""
     root = os.environ.get(CACHE_DIR_ENV)
     if not root:
         return None
-    return open_cache(root, os.environ.get(CACHE_BACKEND_ENV) or None)
+    return ResultCache(root)

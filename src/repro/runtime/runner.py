@@ -52,7 +52,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.errors import ConfigurationError
 from ..core.tracing import RunResult
-from .cache import CacheBackend, code_version
+from .cache import ResultCache, code_version
 from .spec import RunSpec
 
 _SEED_SPAN = 2**63
@@ -226,7 +226,7 @@ class Runner:
     """
 
     jobs: int = 1
-    cache: Optional[CacheBackend] = None
+    cache: Optional[ResultCache] = None
     progress: bool = False
     executed: int = field(default=0, compare=False)
     batches: List[Dict[str, Any]] = field(default_factory=list, compare=False)
@@ -244,15 +244,20 @@ class Runner:
         self.close()
 
     def close(self) -> None:
-        """Stop the worker pool, if one is running; the runner stays usable.
+        """Stop the worker pool and flush the cache; the runner stays usable.
 
         Waits for tasks already running on the pool.  A later parallel
-        batch starts a new pool.
+        batch starts a new pool.  Flushing persists the cache's counters
+        and hit bumps that no batch recorded, such as a gateway's warm
+        answers.
         """
         with self._lock:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
+        if self.cache is not None:
+            with self._lock:
+                self.cache.flush_counters()
 
     def map(self, calls: Sequence[TaskCall]) -> List[Any]:
         """Run a batch; results come back in submission order."""

@@ -3,7 +3,7 @@
 ``python -m repro serve`` turns the repo's execution stack —
 :class:`~repro.runtime.spec.RunSpec` digests,
 :class:`~repro.runtime.runner.Runner` worker pools, and a shared
-:class:`~repro.runtime.cache.CacheBackend` — into a many-tenant
+:class:`~repro.runtime.cache.ResultCache` — into a many-tenant
 service: JSON-encoded spec batches come in over HTTP, warm digests are
 answered straight from the cache without executing anything, cold specs
 (bounded in flight, backpressure: ``429 Retry-After``) run on the

@@ -16,7 +16,7 @@ import asyncio
 import threading
 from typing import Any, Callable, Optional
 
-from ..runtime.cache import CacheBackend
+from ..runtime.cache import ResultCache
 from .gateway import Gateway
 from .http import HttpServer
 
@@ -26,7 +26,7 @@ async def run_server(
     port: int = 0,
     jobs: int = 1,
     queue_limit: int = 256,
-    cache: Optional[CacheBackend] = None,
+    cache: Optional[ResultCache] = None,
     on_ready: Optional[Callable[[HttpServer, Gateway], None]] = None,
     stop: Optional["asyncio.Event"] = None,
 ) -> None:
@@ -62,7 +62,7 @@ class ServerThread:
 
     def __init__(
         self,
-        cache: Optional[CacheBackend] = None,
+        cache: Optional[ResultCache] = None,
         jobs: int = 1,
         queue_limit: int = 256,
         host: str = "127.0.0.1",

@@ -39,7 +39,7 @@ import pickle
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set
 
-from ..runtime.cache import CacheBackend
+from ..runtime.cache import ResultCache
 from ..runtime.runner import Runner, TaskCall
 from ..runtime.spec import RunSpec
 from .protocol import EncodedRun
@@ -117,14 +117,14 @@ class Gateway:
     """Ring-as-a-service core (see module docstring).
 
     Attributes:
-        cache: shared result cache (any backend), or ``None`` to run
+        cache: shared result cache, or ``None`` to run
             everything cold.
         jobs: worker processes in the runner's pool.
         queue_limit: max distinct cold specs in flight at once; beyond it
             :meth:`submit` raises :class:`QueueFull`.
     """
 
-    cache: Optional[CacheBackend] = None
+    cache: Optional[ResultCache] = None
     jobs: int = 1
     queue_limit: int = 256
     submitted: int = field(default=0, init=False)

@@ -1,80 +1,58 @@
-"""One contract, two stores: the shared CacheBackend test suite.
+"""The result cache's contract, on its one store.
 
-Every test in :class:`TestBackendContract` runs against both the
-pickle-per-file :class:`ResultCache` and the WAL-mode
-:class:`SqliteResultCache` — the acceptance bar for the sqlite backend
-is passing the *same* suite as the original store, including the
-corruption shapes (truncated entry, random bytes, wrong protocol byte)
-that PR 8's bugfix broadened ``get``'s miss contract to cover.
-
-Backend-specific sections pin the pickle backend's orphaned ``*.tmp``
-sweep (the SIGKILL-mid-put leak), the sqlite backend's LRU eviction and
-race-free counters, and the pickle→sqlite migration path.
+Covers the miss contract for every corruption shape (truncated entry,
+random bytes, wrong protocol byte, ...) that PR 8's bugfix broadened
+``get`` to cover, stale-version pruning, stats, persistence, LRU
+eviction, exact counter flushes, pickling, and read-only hits: a hit
+writes nothing until the counters are flushed.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 import sqlite3
+import sys
+import threading
 import time
 
 import pytest
 
 from repro.core import RingConfiguration
-from repro.core.errors import ConfigurationError
-from repro.runtime import (
-    CacheBackend,
-    ResultCache,
-    Runner,
-    RunSpec,
-    SqliteResultCache,
-    migrate_pickle_cache,
-    open_cache,
-)
-from repro.runtime.cache import SQLITE_DB_NAME, code_version
-
-BACKENDS = ("pickle", "sqlite")
+from repro.runtime import ResultCache, Runner, RunSpec
+from repro.runtime.cache import SQLITE_DB_NAME
 
 KEY_A = "ab" + "0" * 62
 KEY_B = "cd" + "0" * 62
 KEY_C = "ef" + "0" * 62
 
 
-def make_cache(backend: str, root) -> CacheBackend:
-    return ResultCache(root) if backend == "pickle" else SqliteResultCache(root)
+def corrupt_entry(root, key: str, payload: bytes) -> None:
+    """Overwrite ``key``'s stored bytes with ``payload``."""
+    conn = sqlite3.connect(root / SQLITE_DB_NAME)
+    with conn:
+        conn.execute("UPDATE entries SET value = ? WHERE key = ?", (payload, key))
+    conn.close()
 
 
-def corrupt_entry(backend: str, root, key: str, payload: bytes) -> None:
-    """Overwrite ``key``'s stored bytes with ``payload`` (both layouts)."""
-    if backend == "pickle":
-        path = root / key[:2] / f"{key}.pkl"
-        path.write_bytes(payload)
-    else:
-        conn = sqlite3.connect(root / SQLITE_DB_NAME)
-        with conn:
-            conn.execute(
-                "UPDATE entries SET value = ? WHERE key = ?", (payload, key)
-            )
-        conn.close()
-
-
-def plant_stale_version(backend: str, root, key: str) -> None:
+def plant_stale_version(root, key: str) -> None:
     """Plant an entry recorded under a bogus (old-code) version."""
-    if backend == "pickle":
-        shard = root / key[:2]
-        shard.mkdir(parents=True, exist_ok=True)
-        (shard / f"{key}.pkl").write_bytes(
-            pickle.dumps(("repro-cache", "bogus-version", 42))
+    ResultCache(root).put(key, 42)
+    conn = sqlite3.connect(root / SQLITE_DB_NAME)
+    with conn:
+        conn.execute(
+            "UPDATE entries SET version = 'bogus-version' WHERE key = ?", (key,)
         )
-    else:
-        SqliteResultCache(root).put(key, 42)  # ensure schema exists
-        conn = sqlite3.connect(root / SQLITE_DB_NAME)
-        with conn:
-            conn.execute(
-                "UPDATE entries SET version = 'bogus-version' WHERE key = ?",
-                (key,),
-            )
+    conn.close()
+
+
+def access_times(root, key: str):
+    """``(created_at, last_access)`` of ``key``'s row, read from outside."""
+    conn = sqlite3.connect(root / SQLITE_DB_NAME)
+    try:
+        return conn.execute(
+            "SELECT created_at, last_access FROM entries WHERE key = ?", (key,)
+        ).fetchone()
+    finally:
         conn.close()
 
 
@@ -92,19 +70,12 @@ CORRUPTION_SHAPES = {
 }
 
 
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    return request.param
-
-
 @pytest.fixture
-def cache(backend, tmp_path) -> CacheBackend:
-    return make_cache(backend, tmp_path)
+def cache(tmp_path) -> ResultCache:
+    return ResultCache(tmp_path)
 
 
-class TestBackendContract:
-    """Behaviors every backend must share, run against both stores."""
-
+class TestContract:
     def test_roundtrip_and_miss_counters(self, cache):
         hit, _ = cache.get(KEY_A)
         assert not hit and cache.misses == 1
@@ -120,12 +91,10 @@ class TestBackendContract:
         assert cache.stats()["entries"] == 1
 
     @pytest.mark.parametrize("shape", sorted(CORRUPTION_SHAPES))
-    def test_corrupt_entry_is_a_miss_not_a_crash(
-        self, backend, tmp_path, cache, shape
-    ):
+    def test_corrupt_entry_is_a_miss_not_a_crash(self, tmp_path, cache, shape):
         """A sweep must re-execute one spec, never die on a bad entry."""
         cache.put(KEY_B, [1, 2, 3])
-        corrupt_entry(backend, tmp_path, KEY_B, CORRUPTION_SHAPES[shape])
+        corrupt_entry(tmp_path, KEY_B, CORRUPTION_SHAPES[shape])
         hit, value = cache.get(KEY_B)
         assert not hit and value is None
         assert cache.misses == 1
@@ -134,41 +103,40 @@ class TestBackendContract:
         assert cache.get(KEY_B) == (True, "fresh")
 
     @pytest.mark.parametrize("shape", sorted(CORRUPTION_SHAPES))
-    def test_prune_survives_corrupt_entries(self, backend, tmp_path, cache, shape):
+    def test_prune_survives_corrupt_entries(self, tmp_path, cache, shape):
         """The miss contract is mirrored in prune: no corruption crashes it."""
         cache.put(KEY_A, "keep me")
         cache.put(KEY_B, "corrupt me")
-        corrupt_entry(backend, tmp_path, KEY_B, CORRUPTION_SHAPES[shape])
+        corrupt_entry(tmp_path, KEY_B, CORRUPTION_SHAPES[shape])
         report = cache.prune()
         assert report["kept"] >= 1
         assert cache.get(KEY_A) == (True, "keep me")
 
-    def test_prune_removes_stale_version_entries(self, backend, tmp_path, cache):
+    def test_prune_removes_stale_version_entries(self, tmp_path, cache):
         cache.put(KEY_A, "current")
-        plant_stale_version(backend, tmp_path, KEY_B)
+        plant_stale_version(tmp_path, KEY_B)
         report = cache.prune()
         assert report["removed"] >= 1 and report["kept"] == 1
         assert report["freed_bytes"] > 0
         assert cache.get(KEY_A) == (True, "current")
 
-    def test_stats_shape(self, cache, backend):
+    def test_stats_shape(self, cache):
         cache.put(KEY_A, {"x": 1})
         cache.put(KEY_B, [1, 2, 3])
         stats = cache.stats()
-        assert stats["backend"] == backend
         assert stats["entries"] == 2
         assert stats["bytes"] > 0
         assert stats["writes"] == 2
         for field in ("lifetime_hits", "lifetime_misses", "lifetime_writes"):
             assert field in stats
 
-    def test_lifetime_counters_persist_across_instances(self, backend, tmp_path):
-        first = make_cache(backend, tmp_path)
+    def test_lifetime_counters_persist_across_instances(self, tmp_path):
+        first = ResultCache(tmp_path)
         first.put(KEY_A, 1)
         first.get(KEY_A)
         first.get(KEY_B)  # miss
         first.flush_counters()
-        second = make_cache(backend, tmp_path)
+        second = ResultCache(tmp_path)
         stats = second.stats()
         assert stats["lifetime_hits"] == 1
         assert stats["lifetime_misses"] == 1
@@ -177,14 +145,14 @@ class TestBackendContract:
         second.get(KEY_A)
         assert second.stats()["lifetime_hits"] == 2
 
-    def test_runner_hit_skips_execution(self, backend, tmp_path):
+    def test_runner_hit_skips_execution(self, tmp_path):
         spec = RunSpec.make(
             engine="sync",
             ring=RingConfiguration.oriented((1, 1, 0, 1)),
             algorithm="sync-and",
         )
-        first = Runner(cache=make_cache(backend, tmp_path))
-        second = Runner(cache=make_cache(backend, tmp_path))
+        first = Runner(cache=ResultCache(tmp_path))
+        second = Runner(cache=ResultCache(tmp_path))
         results_a = first.run_specs([spec])
         assert first.executed == 1
         results_b = second.run_specs([spec])
@@ -192,61 +160,11 @@ class TestBackendContract:
         assert pickle.dumps(results_a) == pickle.dumps(results_b)
 
 
-class TestPickleTmpOrphans:
-    """Regression: SIGKILL mid-put leaks ``*.tmp`` files forever.
-
-    ``put``/``flush_counters`` write via mkstemp + rename; a worker
-    killed between the two leaves the tmp file, which ``_entries()``
-    never yields — before the fix ``stats()`` under-reported bytes and
-    ``prune()`` never deleted them.
-    """
-
-    def _plant_orphans(self, tmp_path, age_seconds=3600):
-        cache = ResultCache(tmp_path)
-        cache.put(KEY_A, {"x": 1})
-        shard_orphan = tmp_path / KEY_A[:2] / "tmpdeadbeef.tmp"
-        shard_orphan.write_bytes(b"x" * 100)  # killed mid-put
-        root_orphan = tmp_path / "tmpcafebabe.tmp"
-        root_orphan.write_bytes(b"y" * 50)  # killed mid-flush_counters
-        old = time.time() - age_seconds
-        for path in (shard_orphan, root_orphan):
-            os.utime(path, (old, old))
-        return cache, shard_orphan, root_orphan
-
-    def test_stats_counts_orphaned_tmp_files(self, tmp_path):
-        cache, *_ = self._plant_orphans(tmp_path)
-        stats = cache.stats()
-        assert stats["tmp_files"] == 2
-        entry_bytes = next(tmp_path.glob("ab/*.pkl")).stat().st_size
-        assert stats["bytes"] == entry_bytes + 150
-
-    def test_prune_sweeps_stale_orphans(self, tmp_path):
-        cache, shard_orphan, root_orphan = self._plant_orphans(tmp_path)
-        report = cache.prune()
-        assert report["tmp_removed"] == 2
-        assert report["removed"] == 2 and report["kept"] == 1
-        assert report["freed_bytes"] == 150
-        assert not shard_orphan.exists() and not root_orphan.exists()
-        # The live entry survived, and stats no longer sees tmp files.
-        assert cache.get(KEY_A) == (True, {"x": 1})
-        assert cache.stats()["tmp_files"] == 0
-
-    def test_prune_spares_fresh_tmp_files(self, tmp_path):
-        """A young tmp file may be a concurrent writer's in-flight rename."""
-        cache, shard_orphan, root_orphan = self._plant_orphans(
-            tmp_path, age_seconds=0
-        )
-        report = cache.prune()  # default grace: 60s
-        assert report["tmp_removed"] == 0
-        assert shard_orphan.exists() and root_orphan.exists()
-        # An explicit zero grace sweeps them regardless of age.
-        report = cache.prune(tmp_grace_seconds=-1)
-        assert report["tmp_removed"] == 2
-
-
 class TestSqliteSpecifics:
+    """What the one store adds beyond the contract: LRU, exact flushes."""
+
     def test_lru_eviction_by_last_access(self, tmp_path):
-        cache = SqliteResultCache(tmp_path)
+        cache = ResultCache(tmp_path)
         for key, value in ((KEY_A, "a" * 100), (KEY_B, "b" * 100), (KEY_C, "c" * 100)):
             cache.put(key, value)
         time.sleep(0.02)
@@ -259,7 +177,7 @@ class TestSqliteSpecifics:
         assert hit_a and not hit_b  # recently-used survived, LRU went
 
     def test_prune_without_budget_keeps_everything_current(self, tmp_path):
-        cache = SqliteResultCache(tmp_path)
+        cache = ResultCache(tmp_path)
         cache.put(KEY_A, 1)
         cache.put(KEY_B, 2)
         assert cache.prune() == {
@@ -271,65 +189,90 @@ class TestSqliteSpecifics:
 
     def test_counter_flush_is_exact_across_instances(self, tmp_path):
         """Two flushers' increments both land (no read-modify-write race)."""
-        first = SqliteResultCache(tmp_path)
-        second = SqliteResultCache(tmp_path)
+        first = ResultCache(tmp_path)
+        second = ResultCache(tmp_path)
         first.put(KEY_A, 1)
         second.put(KEY_B, 2)
         first.flush_counters()
         second.flush_counters()
-        assert SqliteResultCache(tmp_path).stats()["lifetime_writes"] == 2
+        assert ResultCache(tmp_path).stats()["lifetime_writes"] == 2
 
     def test_survives_pickling_without_connection(self, tmp_path):
-        cache = SqliteResultCache(tmp_path)
+        cache = ResultCache(tmp_path)
         cache.put(KEY_A, "x")
         clone = pickle.loads(pickle.dumps(cache))
         assert clone.get(KEY_A) == (True, "x")
 
 
-class TestOpenCache:
-    def test_explicit_backends(self, tmp_path):
-        assert isinstance(open_cache(tmp_path, "pickle"), ResultCache)
-        assert isinstance(open_cache(tmp_path, "sqlite"), SqliteResultCache)
-        with pytest.raises(ConfigurationError, match="unknown cache backend"):
-            open_cache(tmp_path, "redis")
+class TestReadOnlyHits:
+    """A hit is a SELECT and an unpickle; its bump waits for a flush."""
 
-    def test_auto_detects_sqlite_layout(self, tmp_path):
-        assert isinstance(open_cache(tmp_path), ResultCache)
-        SqliteResultCache(tmp_path).put(KEY_A, 1)
-        assert isinstance(open_cache(tmp_path), SqliteResultCache)
-        assert isinstance(open_cache(tmp_path, "auto"), SqliteResultCache)
+    def test_a_hit_writes_nothing(self, cache):
+        cache.put(KEY_A, {"x": 1})
+        conn = cache._connect()
+        before = conn.total_changes
+        for _ in range(5):
+            assert cache.get(KEY_A) == (True, {"x": 1})
+        assert conn.total_changes == before
 
+    def test_second_instance_sees_the_bump_after_flush(self, tmp_path, cache):
+        cache.put(KEY_A, "x")
+        created, _ = access_times(tmp_path, KEY_A)
+        time.sleep(0.02)
+        cache.get(KEY_A)
+        assert access_times(tmp_path, KEY_A)[1] == created
+        cache.flush_counters()
+        assert access_times(tmp_path, KEY_A)[1] > created
+        assert ResultCache(tmp_path).stats()["lifetime_hits"] == 1
 
-class TestMigration:
-    def test_pickle_entries_move_into_sqlite(self, tmp_path):
-        pickle_cache = ResultCache(tmp_path)
-        pickle_cache.put(KEY_A, {"payload": (1, 2, 3)})
-        pickle_cache.put(KEY_B, "second")
-        pickle_cache.get(KEY_A)
-        pickle_cache.flush_counters()
-        report = migrate_pickle_cache(tmp_path)
-        assert report == {"migrated": 2, "skipped": 0, "kept": 0}
-        sqlite_cache = SqliteResultCache(tmp_path)
-        assert sqlite_cache.get(KEY_A) == (True, {"payload": (1, 2, 3)})
-        assert sqlite_cache.get(KEY_B) == (True, "second")
-        # Legacy lifetime counters were folded in (and the json retired).
-        stats = sqlite_cache.stats()
-        assert stats["lifetime_writes"] == 2 and stats["lifetime_hits"] == 3
-        assert not (tmp_path / "counters.json").exists()
+    def test_pickling_drops_unwritten_bumps(self, tmp_path, cache):
+        cache.put(KEY_A, "x")
+        created, _ = access_times(tmp_path, KEY_A)
+        time.sleep(0.02)
+        cache.get(KEY_A)
+        pickle.loads(pickle.dumps(cache)).flush_counters()
+        assert access_times(tmp_path, KEY_A)[1] == created
 
-    def test_existing_rows_win_and_corrupt_files_skip(self, tmp_path):
-        pickle_cache = ResultCache(tmp_path)
-        pickle_cache.put(KEY_A, "from-pickle")
-        pickle_cache.put(KEY_B, "fine")
-        corrupt_entry("pickle", tmp_path, KEY_B, b"garbage")
-        SqliteResultCache(tmp_path).put(KEY_A, "from-sqlite")
-        report = migrate_pickle_cache(tmp_path)
-        assert report == {"migrated": 0, "skipped": 1, "kept": 1}
-        assert SqliteResultCache(tmp_path).get(KEY_A) == (True, "from-sqlite")
+    def test_concurrent_get_and_flush(self, tmp_path, cache):
+        """Hits on one thread (a gateway's event loop), flushes on another
+        (its executor): no dict-iteration race, no lost hit or bump."""
+        keys = [f"{index:02x}" + "0" * 62 for index in range(64)]
+        for key in keys:
+            cache.put(key, key)
+        time.sleep(0.02)
+        errors = []
+        done = threading.Event()
 
-    def test_migrated_root_is_auto_detected(self, tmp_path):
-        ResultCache(tmp_path).put(KEY_A, 7)
-        migrate_pickle_cache(tmp_path)
-        cache = open_cache(tmp_path)
-        assert isinstance(cache, SqliteResultCache)
-        assert cache.get(KEY_A) == (True, 7)
+        def reader() -> None:
+            try:
+                for _ in range(20):
+                    for key in keys:
+                        assert cache.get(key) == (True, key)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def flusher() -> None:
+            try:
+                while not done.is_set():
+                    cache.flush_counters()
+                cache.flush_counters()
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader), threading.Thread(target=flusher)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert ResultCache(tmp_path).stats()["lifetime_hits"] == 20 * len(keys)
+        assert all(access_times(tmp_path, key)[1] > access_times(tmp_path, key)[0]
+                   for key in keys)

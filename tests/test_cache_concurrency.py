@@ -1,4 +1,4 @@
-"""Concurrent-access property test for both cache backends (PR 8).
+"""Concurrent-access property test for the result cache (PR 8).
 
 N worker processes hammer one cache root with overlapping ``get`` /
 ``put`` / ``prune`` / ``flush_counters`` traffic.  The property under
@@ -9,11 +9,9 @@ test is the crash-and-corruption contract, not throughput:
 * no *corrupt read*: a hit for key ``k`` must decode to the exact
   self-validating payload every writer stores under ``k`` — a torn or
   interleaved write would surface as a mismatched payload;
-* lifetime counters are *monotone*: after all workers flush, the
-  persisted totals never exceed the sum of every worker's local counts,
-  and for the sqlite backend (transactional ``UPDATE .. value + n``)
-  they must equal it exactly — the pickle backend's read-modify-write
-  flush is advisory and may drop, but never invent, increments.
+* lifetime counters are *exact*: after all workers flush, the
+  persisted totals (transactional ``UPDATE .. value + n``) equal the
+  sum of every worker's local counts.
 """
 
 from __future__ import annotations
@@ -22,18 +20,11 @@ import hashlib
 import multiprocessing
 import traceback
 
-import pytest
+from repro.runtime import ResultCache
 
-from repro.runtime import ResultCache, SqliteResultCache
-
-BACKENDS = ("pickle", "sqlite")
 N_WORKERS = 6
 OPS_PER_WORKER = 60
 KEY_SPACE = 8
-
-
-def _open(backend: str, root: str):
-    return ResultCache(root) if backend == "pickle" else SqliteResultCache(root)
 
 
 def _key(slot: int) -> str:
@@ -49,9 +40,9 @@ def _payload(slot: int):
     return {"slot": slot, "blob": bytes([slot]) * 512, "shape": (slot, slot + 1)}
 
 
-def _worker(backend: str, root: str, worker_id: int, queue) -> None:
+def _worker(root: str, worker_id: int, queue) -> None:
     try:
-        cache = _open(backend, root)
+        cache = ResultCache(root)
         hits = 0
         for step in range(OPS_PER_WORKER):
             slot = (worker_id + step) % KEY_SPACE
@@ -76,12 +67,11 @@ def _worker(backend: str, root: str, worker_id: int, queue) -> None:
         queue.put(("err", worker_id, traceback.format_exc(), 0, 0, 0))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_parallel_processes_do_not_corrupt_or_lose_counts(backend, tmp_path):
+def test_parallel_processes_do_not_corrupt_or_lose_counts(tmp_path):
     ctx = multiprocessing.get_context("fork")
     queue = ctx.SimpleQueue()
     procs = [
-        ctx.Process(target=_worker, args=(backend, str(tmp_path), i, queue))
+        ctx.Process(target=_worker, args=(str(tmp_path), i, queue))
         for i in range(N_WORKERS)
     ]
     for proc in procs:
@@ -102,22 +92,14 @@ def test_parallel_processes_do_not_corrupt_or_lose_counts(backend, tmp_path):
     # Write-then-read-back on the same connection must always hit.
     assert total_hits >= total_writes
 
-    stats = _open(backend, str(tmp_path)).stats()
-    if backend == "sqlite":
-        # Transactional increments: no flush may be lost.
-        assert stats["lifetime_hits"] == total_hits
-        assert stats["lifetime_misses"] == total_misses
-        assert stats["lifetime_writes"] == total_writes
-    else:
-        # The pickle backend's read-modify-write flush is advisory: it
-        # may lose concurrent increments but must stay monotone and
-        # never over-count.
-        assert 0 < stats["lifetime_writes"] <= total_writes
-        assert 0 <= stats["lifetime_hits"] <= total_hits
-        assert 0 <= stats["lifetime_misses"] <= total_misses
+    # Transactional increments: no flush may be lost.
+    stats = ResultCache(tmp_path).stats()
+    assert stats["lifetime_hits"] == total_hits
+    assert stats["lifetime_misses"] == total_misses
+    assert stats["lifetime_writes"] == total_writes
 
     # The surviving entries are all readable and uncorrupted.
-    checker = _open(backend, str(tmp_path))
+    checker = ResultCache(tmp_path)
     for slot in range(KEY_SPACE):
         hit, value = checker.get(_key(slot))
         if hit:

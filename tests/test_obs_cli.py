@@ -8,7 +8,6 @@ end proves the module entry point wires the same way.
 from __future__ import annotations
 
 import json
-import pickle
 import subprocess
 import sys
 
@@ -16,7 +15,8 @@ import pytest
 
 from repro.__main__ import main
 from repro.obs import read_events_jsonl, validate_chrome_trace
-from repro.runtime import ResultCache, SqliteResultCache
+from repro.runtime import ResultCache
+from test_cache_backends import plant_stale_version
 
 
 class TestTraceCommand:
@@ -116,11 +116,7 @@ class TestCacheCommand:
     def test_prune_reports_removals(self, tmp_path, capsys):
         cache = ResultCache(tmp_path)
         cache.put("ab" + "0" * 62, {"x": 1})
-        stale = tmp_path / "cd"
-        stale.mkdir()
-        (stale / ("cd" + "0" * 62 + ".pkl")).write_bytes(
-            pickle.dumps(("repro-cache", "bogus-version", 1))
-        )
+        plant_stale_version(tmp_path, "cd" + "0" * 62)
         rc = main(["cache", "prune", "--cache", str(tmp_path)])
         assert rc == 0
         out = capsys.readouterr().out
@@ -135,16 +131,16 @@ class TestCacheCommand:
 
 class TestCacheCommandSqlite:
     def test_stats_names_the_backend(self, tmp_path, capsys):
-        cache = SqliteResultCache(tmp_path)
+        cache = ResultCache(tmp_path)
         cache.put("ab" + "0" * 62, {"x": 1})
         cache.flush_counters()
         rc = main(["cache", "stats", "--cache", str(tmp_path)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "[sqlite]" in out and "entries: 1" in out
+        assert "entries: 1" in out
 
     def test_prune_max_bytes_reports_evictions(self, tmp_path, capsys):
-        cache = SqliteResultCache(tmp_path)
+        cache = ResultCache(tmp_path)
         for index in range(3):
             cache.put(f"{index:02d}" + "a" * 62, "x" * 200)
         rc = main(
@@ -152,32 +148,6 @@ class TestCacheCommandSqlite:
         )
         assert rc == 0
         assert "LRU-evicted" in capsys.readouterr().out
-
-    def test_max_bytes_rejected_on_pickle_backend(self, tmp_path, capsys):
-        ResultCache(tmp_path).put("ab" + "0" * 62, 1)
-        rc = main(
-            ["cache", "prune", "--cache", str(tmp_path), "--max-bytes", "10"]
-        )
-        assert rc == 2
-        assert "sqlite" in capsys.readouterr().err
-
-    def test_migrate_moves_pickle_entries(self, tmp_path, capsys):
-        ResultCache(tmp_path).put("ab" + "0" * 62, {"x": 1})
-        rc = main(["cache", "migrate", "--cache", str(tmp_path)])
-        assert rc == 0
-        assert "migrated 1 entries" in capsys.readouterr().out
-        # Auto-detection now answers stats from the sqlite backend.
-        assert main(["cache", "stats", "--cache", str(tmp_path)]) == 0
-        assert "[sqlite]" in capsys.readouterr().out
-
-    def test_explicit_backend_flag_overrides_detection(self, tmp_path, capsys):
-        SqliteResultCache(tmp_path).put("ab" + "0" * 62, 1)
-        rc = main(
-            ["cache", "stats", "--cache", str(tmp_path), "--backend", "pickle"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "[pickle]" in out and "entries: 0" in out
 
 
 class TestRunnerMetricsFlag:

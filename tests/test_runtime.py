@@ -31,6 +31,7 @@ from repro.runtime import (
     resolve,
     task_digest,
 )
+from test_cache_backends import corrupt_entry, plant_stale_version
 
 #: Module-level counter bumped by :func:`counting_task` — lets tests
 #: observe exactly how many times the runner really executed a task.
@@ -281,7 +282,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         key = "cd" + "0" * 62
         cache.put(key, [1, 2, 3])
-        next(tmp_path.glob("cd/*.pkl")).write_bytes(b"not a pickle")
+        corrupt_entry(tmp_path, key, b"not a pickle")
         hit, _ = cache.get(key)
         assert not hit
 
@@ -508,36 +509,18 @@ class TestCacheMaintenance:
             "removed": 0,
             "kept": 1,
             "freed_bytes": 0,
-            "tmp_removed": 0,
+            "evicted": 0,
         }
 
-    def test_prune_removes_stale_and_foreign_entries(self, tmp_path):
+    def test_prune_removes_stale_entries(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("ab" + "0" * 62, {"x": 1})
-        # A stale entry: wrapper marker with a different code version.
-        stale = tmp_path / "cd"
-        stale.mkdir()
-        (stale / ("cd" + "0" * 62 + ".pkl")).write_bytes(
-            pickle.dumps(("repro-cache", "bogus-version", 42))
-        )
-        # A foreign entry: not wrapped at all (pre-PR5 format).
-        legacy = tmp_path / "ef"
-        legacy.mkdir()
-        (legacy / ("ef" + "0" * 62 + ".pkl")).write_bytes(pickle.dumps({"y": 2}))
+        plant_stale_version(tmp_path, "cd" + "0" * 62)  # written by older code
         report = cache.prune()
-        assert report["removed"] == 2 and report["kept"] == 1
+        assert report["removed"] == 1 and report["kept"] == 1
         assert report["freed_bytes"] > 0
         hit, value = cache.get("ab" + "0" * 62)
         assert hit and value == {"x": 1}
-
-    def test_unwrapped_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        key = "ab" + "0" * 62
-        slot = tmp_path / "ab"
-        slot.mkdir()
-        (slot / (key + ".pkl")).write_bytes(pickle.dumps("bare value"))
-        hit, _ = cache.get(key)
-        assert not hit
 
     def test_lifetime_counters_persist_across_instances(self, tmp_path):
         first = ResultCache(tmp_path)

@@ -2,7 +2,7 @@
 
 Everything here exercises the real stack: a live asyncio HTTP server on
 a background thread (:class:`ServerThread`), the stdlib blocking client,
-and a shared :class:`SqliteResultCache`.  The acceptance criteria under
+and a shared :class:`ResultCache`.  The acceptance criteria under
 test, verbatim from the issue:
 
 * a RunSpec batch submitted over HTTP returns results byte-identical
@@ -42,7 +42,7 @@ from repro.__main__ import main
 from repro.core import RingConfiguration
 from repro.core.tracing import RunResult
 from repro.obs.export import event_to_json
-from repro.runtime import ResultCache, Runner, RunSpec, SqliteResultCache, execute
+from repro.runtime import ResultCache, Runner, RunSpec, execute
 from repro.serve import (
     Gateway,
     ServeClientError,
@@ -52,6 +52,7 @@ from repro.serve import (
     fetch_stats,
     submit_specs,
 )
+from test_cache_backends import access_times
 
 
 def _spec(bits, engine="sync", **kwargs) -> RunSpec:
@@ -77,7 +78,7 @@ def _raw_post(url: str, body: bytes, content_type="application/json"):
 
 @pytest.fixture
 def server(tmp_path):
-    with ServerThread(cache=SqliteResultCache(tmp_path)) as srv:
+    with ServerThread(cache=ResultCache(tmp_path)) as srv:
         yield srv
 
 
@@ -236,12 +237,11 @@ class TestWireBytes:
             assert a.events == b.events
         assert pieces[1].events
 
-    @pytest.mark.parametrize("backend", [ResultCache, SqliteResultCache])
-    def test_gateway_entries_load_as_plain_results(self, tmp_path, backend):
+    def test_gateway_entries_load_as_plain_results(self, tmp_path):
         specs = [_spec((1, 1, 0, 1)), _spec((1, 0, 1, 1), record=True)]
-        with ServerThread(cache=backend(tmp_path), jobs=2) as srv:
+        with ServerThread(cache=ResultCache(tmp_path), jobs=2) as srv:
             assert [o.status for o in submit_specs(srv.url, specs)] == ["done", "done"]
-        runner = Runner(cache=backend(tmp_path))
+        runner = Runner(cache=ResultCache(tmp_path))
         results = runner.run_specs(specs)
         assert runner.executed == 0
         for spec, result in zip(specs, results):
@@ -252,7 +252,7 @@ class TestWireBytes:
 class TestBackpressure:
     def test_queue_full_returns_429_with_retry_after(self, tmp_path):
         specs = [_spec((1, 1, 0, 1)), _spec((1, 1, 1, 1)), _spec((1, 0, 0, 1))]
-        with ServerThread(cache=SqliteResultCache(tmp_path), queue_limit=2) as srv:
+        with ServerThread(cache=ResultCache(tmp_path), queue_limit=2) as srv:
             with pytest.raises(ServerQueueFull) as excinfo:
                 submit_specs(srv.url, specs)
             assert excinfo.value.status == 429
@@ -267,7 +267,7 @@ class TestBackpressure:
     def test_warm_specs_bypass_the_queue(self, tmp_path):
         """Backpressure counts cold specs only — warm answers always fit."""
         warm = [_spec((1, 1, 0, 1)), _spec((1, 1, 1, 1))]
-        with ServerThread(cache=SqliteResultCache(tmp_path), queue_limit=2) as srv:
+        with ServerThread(cache=ResultCache(tmp_path), queue_limit=2) as srv:
             submit_specs(srv.url, warm)  # populate the cache
             # 2 warm + 2 cold fits a limit of 2: only cold specs queue.
             batch = warm + [_spec((0, 0, 1)), _spec((0, 1, 1))]
@@ -309,7 +309,7 @@ class TestHttpSurface:
         assert check_health(server.url)
         stats = fetch_stats(server.url)
         assert stats["queue"] == {"pending": 0, "limit": 256}
-        assert stats["cache"]["backend"] == "sqlite"
+        assert stats["cache"]["entries"] == 0
         assert stats["runner"]["jobs"] == 1
 
     def test_malformed_json_is_400(self, server):
@@ -470,16 +470,29 @@ class TestMalformedStream:
 class TestLifecycle:
     def test_cache_survives_server_restarts(self, tmp_path):
         spec = _spec((1, 1, 0, 1))
-        with ServerThread(cache=SqliteResultCache(tmp_path)) as srv:
+        with ServerThread(cache=ResultCache(tmp_path)) as srv:
             assert submit_specs(srv.url, [spec])[0].status == "done"
-        with ServerThread(cache=SqliteResultCache(tmp_path)) as srv:
+        with ServerThread(cache=ResultCache(tmp_path)) as srv:
             outcome = submit_specs(srv.url, [spec])[0]
             assert outcome.status == "cached"
             assert srv.gateway.runner.executed == 0
 
+    def test_warm_only_gateway_persists_its_hits(self, tmp_path):
+        """No cold batch flushes these hits; stopping the gateway does."""
+        specs = [_spec((1, 1, 0, 1)), _spec((1, 1, 1, 1)), _spec((0, 1, 1))]
+        Runner(cache=ResultCache(tmp_path)).run_specs(specs)
+        time.sleep(0.02)
+        with ServerThread(cache=ResultCache(tmp_path)) as srv:
+            outcomes = submit_specs(srv.url, specs)
+            assert [o.status for o in outcomes] == ["cached"] * 3
+        assert ResultCache(tmp_path).stats()["lifetime_hits"] == 3
+        for spec in specs:
+            created, last_access = access_times(tmp_path, spec.digest())
+            assert last_access > created
+
     def test_pool_path_matches_in_process(self, tmp_path):
         specs = [_spec((1, 1, 0, 1)), _spec((1, 1, 1, 1)), _spec((0, 1, 1))]
-        with ServerThread(cache=SqliteResultCache(tmp_path / "a"), jobs=2) as srv:
+        with ServerThread(cache=ResultCache(tmp_path / "a"), jobs=2) as srv:
             pooled = submit_specs(srv.url, specs)
         local = Runner().run_specs(specs)
         for outcome, expected in zip(pooled, local):
@@ -500,7 +513,7 @@ class TestSharedInflightJobs:
         spec = _spec((1, 0, 1, 1))
 
         async def scenario():
-            gateway = Gateway(cache=SqliteResultCache(tmp_path), queue_limit=1)
+            gateway = Gateway(cache=ResultCache(tmp_path), queue_limit=1)
             first = gateway.submit([spec])
             # The shared job counts once against the limit of 1.
             second = gateway.submit([spec, spec])
@@ -521,7 +534,7 @@ class TestSharedInflightJobs:
 
     def test_concurrent_requests_for_one_cold_spec_run_it_once(self, tmp_path):
         spec = _slow_spec(300)  # long enough for both requests to overlap
-        with ServerThread(cache=SqliteResultCache(tmp_path), jobs=2) as srv:
+        with ServerThread(cache=ResultCache(tmp_path), jobs=2) as srv:
             barrier = threading.Barrier(2)
             outcomes = [None, None]
 
@@ -544,7 +557,7 @@ class TestWorkerDeath:
     def test_killed_worker_fails_its_runs_and_the_pool_recovers(self, tmp_path):
         slow = _slow_spec(1000)  # seconds of work: still running when killed
         before = {child.pid for child in multiprocessing.active_children()}
-        cache = SqliteResultCache(tmp_path)
+        cache = ResultCache(tmp_path)
         with ServerThread(cache=cache, jobs=2) as srv:
             box = {}
             request = threading.Thread(

@@ -1,13 +1,13 @@
 """The serve CLI end to end: a real ``python -m repro serve --jobs 2`` process.
 
 Starts the gateway as a subprocess with a two-worker pool and a shared
-sqlite cache, parses its readiness line, and submits a mixed warm/cold
+result cache, parses its readiness line, and submits a mixed warm/cold
 batch over HTTP — through the client library and through the ``submit``
 CLI.  The streamed results must be pickle-identical to a direct
 ``Runner.run_specs`` on the same specs, the pre-warmed spec must be
 answered from the cache without executing, SIGINT must stop the gateway
 cleanly (exit 0) within ``STOP_TIMEOUT`` seconds, and the shared cache
-root must then answer the ``cache`` CLI through the sqlite backend.
+root must then answer the ``cache`` CLI, counting the gateway's hits.
 The in-process (``--jobs 1``) gateway is covered by ``test_serve.py``.
 """
 
@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import RingConfiguration
-from repro.runtime import Runner, RunSpec, SqliteResultCache
+from repro.runtime import ResultCache, Runner, RunSpec
 from repro.serve import fetch_stats, submit_specs
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,13 +69,13 @@ SPECS = [
 def gateway(tmp_path, subprocess_env):
     """``(url, process, cache dir)`` of a live ``serve --jobs 2`` child.
 
-    The first spec is pre-warmed into the shared sqlite cache.
+    The first spec is pre-warmed into the shared cache.
     """
     cache_dir = tmp_path / "cache"
-    Runner(cache=SqliteResultCache(cache_dir)).run_specs([SPECS[0]])
+    Runner(cache=ResultCache(cache_dir)).run_specs([SPECS[0]])
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0", "--jobs", "2",
-         "--cache", str(cache_dir), "--backend", "sqlite"],
+         "--cache", str(cache_dir)],
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         text=True,
@@ -114,7 +114,7 @@ def test_serve_round_trip_submit_cli_and_clean_sigint(gateway, tmp_path, subproc
 
     stats = fetch_stats(url)
     assert stats["warm_hits"] == 1 and stats["completed"] == 2, stats
-    assert stats["cache"]["backend"] == "sqlite", stats["cache"]
+    assert stats["cache"]["entries"] == 3, stats["cache"]
     assert stats["runner"]["jobs"] == 2
 
     # The submit CLI sees the now fully-warm batch.
@@ -130,9 +130,10 @@ def test_serve_round_trip_submit_cli_and_clean_sigint(gateway, tmp_path, subproc
     assert rc == 0, f"gateway exited {rc} on SIGINT"
     assert time.monotonic() - started < STOP_TIMEOUT
 
-    # The shared root answers the cache CLI through the sqlite backend.
+    # The shared root answers the cache CLI, the gateway's 4 hits flushed
+    # when it stopped.
     for argv, needle in (
-        (["cache", "stats", "--cache", str(cache_dir)], "[sqlite]"),
+        (["cache", "stats", "--cache", str(cache_dir)], "lifetime: 4 hits"),
         (["cache", "prune", "--cache", str(cache_dir)], "pruned"),
     ):
         out = _repro(subprocess_env, *argv, timeout=60)

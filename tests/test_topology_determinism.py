@@ -100,10 +100,10 @@ class TestDeterminism:
 
 @pytest.fixture(scope="module")
 def gateway(tmp_path_factory):
-    from repro.runtime import SqliteResultCache
+    from repro.runtime import ResultCache
     from repro.serve import ServerThread
 
-    cache = SqliteResultCache(tmp_path_factory.mktemp("gateway-cache"))
+    cache = ResultCache(tmp_path_factory.mktemp("gateway-cache"))
     with ServerThread(cache=cache) as server:
         yield server
 
