@@ -86,6 +86,12 @@ echo "== trace smoke (event stream reconciles with TraceStats) =="
 python -m repro trace sync-and --n 6 --out TRACE_smoke.json --no-diagram
 python -m repro trace input-distribution --n 5 --out TRACE_smoke.json \
     --metrics TRACE_smoke_metrics.json --no-diagram
+# Both recording rules that write a state-transition row only for a
+# transition that receives or sends: the synchronous engine with idling
+# relays (Figure 2), and the synchronizing adversary (a row per delivery).
+python -m repro trace fig2-input-distribution --n 8 --out TRACE_smoke.json --no-diagram
+python -m repro trace input-distribution --n 5 --engine async-synchronized \
+    --out TRACE_smoke.json --no-diagram
 # A faulted stream: its duplicate and drop rows go through the log, both
 # exporters and reconcile.
 python -m repro trace input-distribution --n 5 --profile dup --fault-seed 1 \

@@ -395,6 +395,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if not cache.db_path.exists():
+        # Both actions only read or trim a store: on a missing (or
+        # mistyped) root, say so instead of creating an empty one.
+        print(f"no cache at {cache.root}", file=sys.stderr)
+        return 2
     if args.action == "stats":
         stats = cache.stats()
         print(f"cache root: {stats['root']}")

@@ -32,9 +32,16 @@ Both engines are hot paths — every bound in the paper is checked by
 running them — so the event loops avoid per-event rebuilding: routing is
 resolved once per (sender, port), the set of nonempty channels is
 maintained incrementally in sorted order (never re-sorted from scratch),
-each send is sized once, and trace accounting skips
-:class:`~repro.core.message.Envelope` construction unless a log is
-requested.
+and trace accounting skips :class:`~repro.core.message.Envelope`
+construction unless a log is requested.  Each fresh payload is sized
+once: a message's queue entry keeps the size its payload may carry (see
+:func:`~repro.core.message.send_size`), and a handler re-sending the
+payload it was just delivered reuses that size.
+
+Recording follows one rule on every engine: a ``state-transition`` row
+marks each transition after the first (``wake``) that receives or sends
+a message.  Here every transition after the start handler is a delivery,
+so both engines write one row per delivery.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 
 from ..core.errors import NonTerminationError, SimulationError
-from ..core.message import Envelope, Port, bit_length
+from ..core.message import Envelope, Port, send_size
 from ..core.ring import RingConfiguration
 from ..core.tracing import RunResult, TraceStats
 from ..topology.base import static_route_table
@@ -123,9 +130,16 @@ class _Engine:
         return ctx._sends
 
     def record(
-        self, sender: int, out_port: Port, payload: Any, time: int
-    ) -> Tuple[int, Port, int, Any]:
-        """Account one send; returns the route plus the *wire* payload.
+        self, sender: int, out_port: Port, payload: Any, time: int, carried: int = 0
+    ) -> Tuple[int, Port, int, Any, int]:
+        """Account one send; returns the route, the *wire* payload and the
+        size it carries.
+
+        ``carried`` is the payload's size when it travels with the message
+        (a handler re-sending the payload it was just delivered), else 0
+        and the payload is sized here.  The returned size is what the
+        queue entry keeps: the payload's size if it may travel (see
+        :func:`~repro.core.message.send_size`), else 0.
 
         Under content-oblivious delivery the payload is stripped to
         ``None`` here — the boundary where the message leaves its sender
@@ -134,7 +148,13 @@ class _Engine:
         receiver, in_port, step = self.routes[sender][out_port]
         if self.oblivious:
             payload = None
-        bits = bit_length(payload)
+            carried = 0
+        if carried:
+            bits = carried
+        else:
+            bits, carries = send_size(payload)
+            if carries:
+                carried = bits
         self.stats.record_send(bits, time)
         if self.keep_log:
             self.stats.log.append(
@@ -159,7 +179,7 @@ class _Engine:
                 time,
                 channel=channel,
             )
-        return receiver, in_port, step, payload
+        return receiver, in_port, step, payload, carried
 
     def check_all_halted(self) -> None:
         """Quiescence check: everyone halted, crashed processors excused."""
@@ -221,23 +241,32 @@ def run_asynchronous(
     # when its queue goes empty→nonempty and removed when it drains.  This
     # replaces the seed engine's per-event `sorted(...)` rebuild while
     # presenting the Scheduler with the exact same sorted sequence.
-    queues: Dict[ChannelId, Deque[Tuple[Port, Any]]] = {}
+    # Each entry is (in-port, payload, carried size; see _Engine.record).
+    queues: Dict[ChannelId, Deque[Tuple[Port, Any, int]]] = {}
     for i in range(n):
         for port in (Port.LEFT, Port.RIGHT):
             receiver, _in_port, step = engine.routes[i][port]
             queues[(i, receiver, step)] = deque()
     pending: List[ChannelId] = []
 
-    def dispatch(sender: int, sends: List[Tuple[Port, Any]], time: int) -> None:
+    def dispatch(
+        sender: int,
+        sends: List[Tuple[Port, Any]],
+        time: int,
+        delivered: Any = None,
+        size: int = 0,
+    ) -> None:
+        # ``delivered`` is the payload whose handler made these sends, and
+        # ``size`` the size it carries: re-sending it reuses that size.
         for out_port, payload in sends:
-            receiver, in_port, step, payload = engine.record(
-                sender, out_port, payload, time
+            receiver, in_port, step, payload, carried = engine.record(
+                sender, out_port, payload, time, size if payload is delivered else 0
             )
             cid: ChannelId = (sender, receiver, step)
             queue = queues[cid]
             if not queue:
                 insort(pending, cid)
-            queue.append((in_port, payload))
+            queue.append((in_port, payload, carried))
 
     for i in range(n):
         dispatch(i, engine.invoke_start(i), 0)
@@ -278,12 +307,12 @@ def run_asynchronous(
             # Deliver a copy; the original stays at the head of the FIFO
             # queue (adjacent copies, so link order is preserved) and the
             # channel stays pending.
-            in_port, payload = queue[0]
+            in_port, payload, size = queue[0]
             stats.duplicated += 1
             if recorder is not None:
                 recorder.duplicate(cid, clock)
         else:
-            in_port, payload = queue.popleft()
+            in_port, payload, size = queue.popleft()
             if not queue:
                 # The channel drained; drop it from `pending` before the
                 # handler runs (an n=1 self-send may re-add the same channel).
@@ -309,6 +338,8 @@ def run_asynchronous(
             receiver,
             engine.invoke_message(receiver, in_port, payload, etime=clock),
             clock,
+            payload,
+            size,
         )
 
     engine.check_all_halted()
@@ -334,9 +365,10 @@ def run_async_synchronized(
 
     Returns a result whose ``cycles`` field is the number of delivery
     cycles and whose trace has a meaningful per-cycle histogram.  An
-    optional ``recorder`` receives the cycle-stamped event stream; within
-    one receiver's in-port, deliveries happen in global send order, so the
-    recorder keys its FIFO mirror by ``(receiver, in_port)``.
+    optional ``recorder`` receives the cycle-stamped event stream, with one
+    ``state-transition`` row per delivery; within one receiver's in-port,
+    deliveries happen in global send order, so the recorder keys its FIFO
+    mirror by ``(receiver, in_port)``.
     """
     engine = _Engine(
         config, factory, keep_log, recorder, channel_keys="port", oblivious=oblivious
@@ -344,25 +376,31 @@ def run_async_synchronized(
     n = config.n
     budget = max_cycles if max_cycles is not None else 8 * n + 64
 
-    # Double-buffered in-flight store: `inflight[i][port]` holds messages
-    # to deliver to processor i next cycle.  The two buffers are swapped
-    # each cycle and their lists cleared after consumption, so no per-cycle
-    # allocation happens.
-    inflight: List[Dict[Port, List[Any]]] = [
+    # Double-buffered in-flight store: `inflight[i][port]` holds the
+    # (payload, carried size) of each message to deliver to processor i
+    # next cycle.  The two buffers are swapped each cycle and their lists
+    # cleared after consumption, so no per-cycle list allocation happens.
+    inflight: List[Dict[Port, List[Tuple[Any, int]]]] = [
         {Port.LEFT: [], Port.RIGHT: []} for _ in range(n)
     ]
-    spare: List[Dict[Port, List[Any]]] = [
+    spare: List[Dict[Port, List[Tuple[Any, int]]]] = [
         {Port.LEFT: [], Port.RIGHT: []} for _ in range(n)
     ]
     pending_count = 0
 
-    def dispatch(sender: int, sends: List[Tuple[Port, Any]], cycle: int) -> None:
+    def dispatch(
+        sender: int,
+        sends: List[Tuple[Port, Any]],
+        cycle: int,
+        delivered: Any = None,
+        size: int = 0,
+    ) -> None:
         nonlocal pending_count
         for out_port, payload in sends:
-            receiver, in_port, _, payload = engine.record(
-                sender, out_port, payload, cycle
+            receiver, in_port, _, payload, carried = engine.record(
+                sender, out_port, payload, cycle, size if payload is delivered else 0
             )
-            inflight[receiver][in_port].append(payload)
+            inflight[receiver][in_port].append((payload, carried))
             pending_count += 1
 
     cycle = 0
@@ -384,7 +422,7 @@ def run_async_synchronized(
                 msgs = batch[port]
                 if not msgs:
                     continue
-                for payload in msgs:
+                for payload, size in msgs:
                     if halted[i]:
                         stats.dropped += 1
                         if recorder is not None:
@@ -393,10 +431,15 @@ def run_async_synchronized(
                     stats.delivered += 1
                     if recorder is not None:
                         recorder.deliver((i, port), cycle)
+                        # Each delivery is one handler invocation: one
+                        # state transition, as on the event engine.
+                        recorder.step(i, cycle)
                     dispatch(
                         i,
                         engine.invoke_message(i, port, payload, etime=cycle),
                         cycle,
+                        payload,
+                        size,
                     )
                 msgs.clear()
 

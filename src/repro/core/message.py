@@ -8,14 +8,17 @@ about).
 
 Payloads are arbitrary Python values.  The cost model of the paper counts
 messages for lower bounds and bits for algorithm analysis; we provide both
-via :func:`bit_length`, a deterministic encoder-size estimate.
+via :func:`bit_length`, a deterministic encoder-size estimate.  The
+engines size each send with :func:`send_size`, which also says whether the
+size may travel with the message: a relay that forwards the tuple it was
+delivered is charged the size already taken, not a second walk.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Tuple
 
 
 class Port(enum.Enum):
@@ -93,13 +96,20 @@ def bit_length(payload: Any) -> int:
 
     Anything else costs 32 bits (a conservative flat rate so that exotic
     payloads are never free).
+
+    The walk dispatches on exact types first: an exact tuple or list is
+    summed in one loop that sizes ``None``, ``bool`` and ``int`` items
+    inline and recurses only for items of other types.  Every other type,
+    and every subclass (an ``IntEnum`` member sizes as an ``int``), goes
+    through the ``isinstance`` checks below.
     """
-    if payload is None:
-        return 1
-    if isinstance(payload, bool):
+    kind = type(payload)
+    if kind is tuple or kind is list:
+        return _sum_of_items(payload)[0]
+    if payload is None or kind is bool:
         return 1
     if isinstance(payload, int):
-        return max(1, payload.bit_length() + (1 if payload < 0 else 0))
+        return (payload.bit_length() + (payload < 0)) or 1
     if isinstance(payload, str):
         if payload and all(ch in "01" for ch in payload):
             return len(payload)
@@ -107,9 +117,41 @@ def bit_length(payload: Any) -> int:
     if isinstance(payload, bytes):
         return 8 * max(1, len(payload))
     if isinstance(payload, (tuple, list)):
-        return max(1, sum(bit_length(item) for item in payload))
+        return _sum_of_items(payload)[0]
     if isinstance(payload, enum.Enum):
         population = len(type(payload))
         width = max(1, (population - 1).bit_length())
         return width
     return 32
+
+
+def send_size(payload: Any) -> Tuple[int, bool]:
+    """``(bit_length(payload), carries)`` for a payload being sent.
+
+    ``carries`` says whether the size may travel with the message, so
+    that a later send of the same object reuses it instead of walking it
+    again.  Only an exact ``tuple`` whose items are exact ``bool``,
+    ``int`` or ``None`` carries: nothing can change its size once it is
+    built.  A list, or a tuple holding one, can grow between two sends of
+    the same object, so it is sized at every send.
+    """
+    if type(payload) is tuple:
+        return _sum_of_items(payload)
+    return bit_length(payload), False
+
+
+def _sum_of_items(items: Any) -> Tuple[int, bool]:
+    """The size of a tuple or list, and whether every item in it is an
+    exact ``bool``, ``int`` or ``None``."""
+    total = 0
+    flat = True
+    for item in items:
+        kind = type(item)
+        if kind is int:
+            total += (item.bit_length() + (item < 0)) or 1
+        elif kind is bool or item is None:
+            total += 1
+        else:
+            total += bit_length(item)
+            flat = False
+    return total or 1, flat

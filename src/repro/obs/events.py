@@ -180,7 +180,8 @@ class Recorder:
         """``proc`` executed its first transition (start event / wake-up)."""
 
     def step(self, proc: int, etime: int) -> None:
-        """``proc`` executed one (non-wake) state transition."""
+        """``proc`` executed one (non-wake) state transition that received
+        or sent a message; engines call it for no other transition."""
 
     def halt(self, proc: int, etime: int, output: Any = None) -> None:
         """``proc`` halted with ``output``."""
@@ -419,6 +420,9 @@ class EventRecorder(Recorder):
         if self._lamport:
             # The delivery *is* the receiver's state transition in the
             # asynchronous model (one handler invocation per delivery).
+            # Cycle-mode engines call :meth:`step` themselves: the
+            # synchronizing adversary right after each delivery, the
+            # synchronous engine when the receiver is next resumed.
             self._row(_STEP, time, etime, receiver, -1, -1, 0, -1, 0, 0)
 
     def drop(self, channel: Any, etime: int, reason: str = "") -> None:

@@ -12,7 +12,8 @@ Two on-disk formats plus reconstruction helpers:
 
 * **Chrome trace-event format** — loadable in Perfetto / ``chrome://
   tracing``: one track (thread) per processor, slices for sends,
-  deliveries and state transitions, instants for wakes / halts / crashes
+  deliveries and state transitions (``step``: one per transition that
+  received or sent a message), instants for wakes / halts / crashes
   / drops / duplicates, flow arrows (``ph: "s"``/``"f"``) tying every
   send to its delivery, and an in-flight message counter track.
   :func:`validate_chrome_trace` checks a payload against the trace-event

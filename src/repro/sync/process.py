@@ -31,8 +31,10 @@ idles this way.  A wrapper that drives an inner process one cycle per
 yield runs it through :func:`cycle_by_cycle`, which spells every
 ``Idle`` out as quiet cycles.
 
-The engines size each send once, as it is sent
-(:func:`repro.core.message.bit_length`).
+The engines size each send as it is sent
+(:func:`repro.core.message.bit_length`); a tuple of ints forwarded as it
+was delivered carries the size already taken
+(:func:`repro.core.message.send_size`).
 
 Anonymity is structural: a process is built from ``(input value, ring
 size)`` only and has no way to learn its index.

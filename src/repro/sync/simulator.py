@@ -11,9 +11,15 @@ One cycle has two half-steps:
 A processor that yields :class:`~repro.sync.process.Idle` ``(k)`` sends
 nothing and is not resumed until something arrives or ``k`` cycles pass:
 the engine skips it in half-step 1 and resumes it with ``(elapsed, In)``
-on the cycle after an arrival or the timeout (a recorder still gets its
-``state-transition`` row for every skipped cycle, so recorded logs do not
-depend on whether a process idles or yields quiet ``Out()`` cycles).
+on the cycle after an arrival or the timeout.
+
+A recorder gets a ``state-transition`` row for each resume that receives
+last cycle's messages (written before the resume) or sends this cycle
+(written after its yield), and for no other: the first transition is the
+``wake`` row, and a quiet cycle writes nothing, whether the processor
+idles through it or spells it out with ``Out()``.  So recorded logs do
+not depend on whether a process idles, and they grow with the messages,
+not with processors times cycles.
 
 A message delivered to a still-idle processor wakes it: it starts at the
 next cycle with the waking messages available in
@@ -36,14 +42,21 @@ the delivery boundary — only message *presence* crosses the wire, and
 every message costs exactly one bit (a beep).
 
 This engine is a hot path (every synchronous bound is checked by running
-it), so the loop keeps a live halted counter instead of scanning, reuses
-the per-cycle arrival buffers instead of reallocating them, does not
-resume idling processors, routes only emissions that send something,
-sizes each send once, and skips :class:`~repro.core.message.Envelope`
-construction unless a log is requested.  Delivered :class:`In` objects
-are allocated fresh only for processors that actually received
-something; the shared empty ``In`` handed out otherwise must be treated
-as read-only (processes only ever read their inbox).
+it), so it pays per message, not per processor-cycle.  Half-step 1 walks
+a due list instead of every processor: in index order, the processors
+that yielded an ``Out`` last cycle, the receivers of last cycle's
+messages, and the starts and ``Idle`` timeouts due this cycle.  Index
+order matters: emission order fixes the send order, and with it the
+log, the wake inboxes and recorded message ids.  A tuple's size travels
+with it for two cycles (:func:`~repro.core.message.send_size`), so a
+relay forwarding the tuple it was delivered is not charged a second
+walk.  The loop also keeps a live halted counter, reuses the per-cycle
+arrival buffers, routes only emissions that send something, and skips
+:class:`~repro.core.message.Envelope` construction unless a log is
+requested.  Delivered :class:`In` objects are allocated fresh only for
+processors that actually received something; the shared empty ``In``
+handed out otherwise must be treated as read-only (processes only ever
+read their inbox).
 """
 
 from __future__ import annotations
@@ -52,7 +65,7 @@ import math
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.errors import NonTerminationError, SimulationError
-from ..core.message import Envelope, Port, bit_length
+from ..core.message import Envelope, Port, bit_length, send_size
 from ..core.ring import RingConfiguration
 from ..core.tracing import RunResult, TraceStats
 from ..topology.base import StaticRing, Topology
@@ -138,13 +151,37 @@ def run_synchronous(
     wake_time = list(wakeup.times)
     wake_messages: List[List] = [[] for _ in range(n)]
     last_in: List[In] = [_EMPTY_IN] * n
-    # An idling processor is skipped while ``cycle < idle_until[i]`` and
-    # nothing arrived; ``idle_from[i]`` is the cycle its Idle began.  Both
-    # are reset (0 and -1) when it resumes.
+    # ``idle_from[i]`` is the cycle processor i's current Idle began (-1
+    # when it is not idling) and ``idle_until[i]`` the cycle it times out
+    # (0 when it is not idling).
     idle_until = [0] * n
     idle_from = [-1] * n
     stats = TraceStats(keep_log=keep_log)
     budget = max_cycles if max_cycles is not None else default_cycle_budget(n)
+
+    # The due list.  Half-step 1 visits, in index order, only processors
+    # due this cycle: those that yielded an Out last cycle, receivers of
+    # last cycle's messages, and the starts and Idle timeouts filed under
+    # this cycle in ``timers``.  ``due_next`` collects the first two kinds
+    # while the cycle runs; ``listed[i]`` is the cycle processor i was
+    # last listed for, so nobody is listed twice.  Out-yielders join
+    # ``due_next`` in index order, so it is sorted only when something
+    # else joins it out of order.
+    due: List[int] = []
+    due_next: List[int] = []
+    listed = [-1] * n
+    unsorted = False
+    timers: Dict[int, List[int]] = {}
+    for i, at in enumerate(wake_time):
+        timers.setdefault(at, []).append(i)
+
+    # Sizes that travel with their messages: this cycle's and last
+    # cycle's sends of payloads whose size may be carried (see
+    # :func:`~repro.core.message.send_size`), by ``id``.  Each entry holds
+    # its payload, so the ``id`` cannot be reused while it is listed, and
+    # at most two cycles of sends are kept.
+    sized: Dict[int, Tuple[Any, int]] = {}
+    sized_before: Dict[int, Tuple[Any, int]] = {}
 
     # Static routing never changes during a run: resolve the table once.
     # A dynamic topology is asked again at the top of every cycle.
@@ -171,16 +208,28 @@ def run_synchronous(
             )
 
         # --- half-step 1: emissions -----------------------------------
+        nxt = cycle + 1
+        due, due_next = due_next, due
+        due_next.clear()
+        list_next = due_next.append
+        timed = timers.pop(cycle, None)
+        if timed is not None:
+            for i in timed:
+                # A start not yet made, or an Idle still waiting for this
+                # cycle; an entry whose processor has since resumed (or
+                # idles toward another cycle) is stale.
+                if listed[i] != cycle and (gens[i] is None or idle_until[i] == cycle):
+                    listed[i] = cycle
+                    if due and due[-1] > i:
+                        unsorted = True
+                    due.append(i)
+        if unsorted:
+            due.sort()
+            unsorted = False
         emissions.clear()
-        for i in range(n):
-            if halted[i] or wake_time[i] > cycle:
-                continue
-            if idle_until[i] > cycle and last_in[i] is _EMPTY_IN:
-                # Idling with nothing arrived: a quiet cycle, not a resume.
-                if recorder is not None:
-                    recorder.step(i, cycle)
-                continue
+        for i in due:
             gen = gens[i]
+            arrived = last_in[i]
             try:
                 if gen is None:
                     proc = processes[i]
@@ -188,19 +237,18 @@ def run_synchronous(
                     proc.woke_spontaneously = not wake_messages[i]
                     if recorder is not None:
                         recorder.wake(i, cycle, spontaneous=not wake_messages[i])
-                    gen = proc.run()
-                    gens[i] = gen
-                    out = next(gen)
+                    gens[i] = started = proc.run()
+                    out = next(started)
                 else:
-                    if recorder is not None:
+                    if recorder is not None and arrived is not _EMPTY_IN:
                         recorder.step(i, cycle)
                     start = idle_from[i]
                     if start < 0:
-                        out = gen.send(last_in[i])
+                        out = gen.send(arrived)
                     else:
                         idle_from[i] = -1
                         idle_until[i] = 0
-                        out = gen.send((cycle - start, last_in[i]))
+                        out = gen.send((cycle - start, arrived))
             except StopIteration as stop:
                 halted[i] = True
                 halted_count += 1
@@ -210,11 +258,21 @@ def run_synchronous(
                     recorder.halt(i, cycle, stop.value)
                 continue
             if isinstance(out, Out):
+                listed[i] = nxt
+                list_next(i)
                 if out.left is not ABSENT or out.right is not ABSENT:
                     emissions.append((i, out))
+                    if recorder is not None and gen is not None and arrived is _EMPTY_IN:
+                        # A resume that only sends: its row follows its yield.
+                        recorder.step(i, cycle)
             elif isinstance(out, Idle):
                 idle_from[i] = cycle
-                idle_until[i] = cycle + out.cycles
+                until = idle_until[i] = cycle + out.cycles
+                waiting = timers.get(until)
+                if waiting is None:
+                    timers[until] = [i]
+                else:
+                    waiting.append(i)
             else:
                 raise SimulationError(
                     f"processor yielded {out!r}; processes must yield Out(...) "
@@ -236,7 +294,18 @@ def run_synchronous(
                 receiver, in_port = dest
                 if oblivious:
                     payload = None
-                bits = bit_length(payload)
+                if type(payload) is tuple:
+                    key = id(payload)
+                    known = sized.get(key) or sized_before.get(key)
+                    if known is None:
+                        bits, carries = send_size(payload)
+                        if carries:
+                            sized[key] = (payload, bits)
+                    else:
+                        sized[key] = known
+                        bits = known[1]
+                else:
+                    bits = bit_length(payload)
                 stats.record_send(bits, cycle)
                 if keep_log:
                     stats.log.append(
@@ -279,20 +348,25 @@ def run_synchronous(
                             f"two messages on one port in one cycle at {receiver}"
                         )
                     inbox.append((in_port, payload))
-                    wake_time[receiver] = cycle + 1
+                    wake_time[receiver] = nxt
                     if recorder is not None:
                         recorder.deliver((sender, port), cycle)
-                    continue
-                got = arriving[receiver]
-                if in_port in got:
-                    raise SimulationError(
-                        f"two messages on one port in one cycle at {receiver}"
-                    )
-                if not got:
-                    touched.append(receiver)
-                got[in_port] = payload
-                if recorder is not None:
-                    recorder.deliver((sender, port), cycle)
+                else:
+                    got = arriving[receiver]
+                    if in_port in got:
+                        raise SimulationError(
+                            f"two messages on one port in one cycle at {receiver}"
+                        )
+                    if not got:
+                        touched.append(receiver)
+                    got[in_port] = payload
+                    if recorder is not None:
+                        recorder.deliver((sender, port), cycle)
+                if listed[receiver] != nxt:
+                    listed[receiver] = nxt
+                    if due_next and due_next[-1] > receiver:
+                        unsorted = True
+                    list_next(receiver)
 
         for i in prev_touched:
             last_in[i] = _EMPTY_IN
@@ -305,8 +379,10 @@ def run_synchronous(
             got.clear()
         prev_touched, touched = touched, prev_touched
         touched.clear()
+        sized_before, sized = sized, sized_before
+        sized.clear()
 
-        cycle += 1
+        cycle = nxt
 
     return RunResult(
         outputs=tuple(outputs),

@@ -23,10 +23,15 @@ these slow and simple: their value is being obviously right.
 :mod:`repro.obs` event log: it records each event as a frozen
 :class:`~repro.obs.events.Event`, the way the recorder did before the log
 became columnar.
+
+:func:`bit_length_reference` is the sizing rule as a plain ``isinstance``
+chain, the oracle for :func:`repro.core.message.bit_length`'s exact-type
+walk.
 """
 
 from __future__ import annotations
 
+import enum
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
@@ -41,6 +46,30 @@ from repro.sync.process import ABSENT, Idle, In, Out, ProcessGen, SyncProcess
 from repro.sync.simulator import ProcessFactory, default_cycle_budget
 from repro.sync.wakeup import WakeupSchedule
 from repro.asynch.simulator import default_event_budget
+
+
+def bit_length_reference(payload: Any) -> int:
+    """The sizing rules of :func:`repro.core.message.bit_length`, checked
+    one ``isinstance`` at a time and recursing for every item."""
+    if payload is None:
+        return 1
+    if isinstance(payload, bool):
+        return 1
+    if isinstance(payload, int):
+        return max(1, payload.bit_length() + (1 if payload < 0 else 0))
+    if isinstance(payload, str):
+        if payload and all(ch in "01" for ch in payload):
+            return len(payload)
+        return 8 * max(1, len(payload))
+    if isinstance(payload, bytes):
+        return 8 * max(1, len(payload))
+    if isinstance(payload, (tuple, list)):
+        return max(1, sum(bit_length_reference(item) for item in payload))
+    if isinstance(payload, enum.Enum):
+        population = len(type(payload))
+        width = max(1, (population - 1).bit_length())
+        return width
+    return 32
 
 
 class _RefEngine:
@@ -433,6 +462,9 @@ class ReferenceEventRecorder(Recorder):
         if self._lamport:
             # The delivery *is* the receiver's state transition in the
             # asynchronous model (one handler invocation per delivery).
+            # Cycle-mode engines call :meth:`step` themselves: the
+            # synchronizing adversary right after each delivery, the
+            # synchronous engine when the receiver is next resumed.
             self._emit("state-transition", time, etime, proc=receiver)
 
     def drop(self, channel: Any, etime: int, reason: str = "") -> None:

@@ -128,6 +128,21 @@ class TestCacheCommand:
         assert rc == 2
         assert "no cache directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("action", ["stats", "prune"])
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_missing_root_exits_2_and_creates_nothing(
+        self, tmp_path, monkeypatch, capsys, action, via_env
+    ):
+        root = tmp_path / "mistyped"
+        if via_env:
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+            rc = main(["cache", action])
+        else:
+            rc = main(["cache", action, "--cache", str(root)])
+        assert rc == 2
+        assert f"no cache at {root}" in capsys.readouterr().err
+        assert not root.exists()
+
 
 class TestCacheCommandSqlite:
     def test_stats_names_the_backend(self, tmp_path, capsys):

@@ -19,6 +19,8 @@ from urllib.parse import urlsplit
 
 import pytest
 
+from repro.algorithms.async_input_distribution import AsyncInputDistribution
+from repro.asynch import run_async_synchronized
 from repro.core.message import Port
 from repro.core.ring import RingConfiguration
 from repro.obs import (
@@ -33,6 +35,7 @@ from repro.obs import (
 from repro.perf.bench import workload_spec
 from repro.runtime.spec import RunSpec, execute
 from repro.serve import ServerThread
+from repro.sync import Idle, Out, SyncProcess, run_synchronous
 
 
 def oriented_ring(bits) -> RingConfiguration:
@@ -205,6 +208,94 @@ class TestSyncEngineRecording:
         n_drop = sum(1 for e in events if e.kind == "drop")
         assert n_send == n_del + n_drop
         assert not reconcile(events, result.stats, engine="sync")
+
+
+class _Acts(SyncProcess):
+    """Input 1 (processor 0) sends at its start, sends with nothing
+    arrived on cycle 1, resumes quietly on cycle 2, idles from cycle 3 and
+    halts on its timeout at cycle 6.  Input 0 (processor 1) idles and is
+    resumed by each arrival, on cycles 1 and 2, halting on the second."""
+
+    def run(self):
+        if self.input:
+            yield Out(right="x")
+            yield Out(right="y")
+            yield Out()
+            yield Idle(3)
+            return None
+        yield Idle(10)
+        yield Idle(10)
+        return None
+
+
+def step_rows(events):
+    return [(e.proc, e.etime) for e in events if e.kind == "state-transition"]
+
+
+class TestStepRows:
+    """One rule on every engine: a ``state-transition`` row marks each
+    transition after the first (``wake``) that receives or sends a
+    message, and no other transition."""
+
+    def _events(self):
+        recorder = EventRecorder()
+        result = run_synchronous(
+            RingConfiguration.oriented((1, 0)), _Acts, recorder=recorder
+        )
+        assert result.halt_times == (6, 2)
+        return recorder.events
+
+    def test_the_first_transition_writes_only_wake(self):
+        events = self._events()
+        assert [(e.kind, e.proc) for e in events if e.etime == 0][:2] == [
+            ("wake", 0),
+            ("wake", 1),
+        ]
+        assert all(etime > 0 for _, etime in step_rows(events))
+
+    def test_a_resume_that_only_sends_writes_one_row_after_its_yield(self):
+        events = list(self._events())
+        assert step_rows(events).count((0, 1)) == 1
+        kinds = [(e.kind, e.proc) for e in events if e.etime == 1]
+        assert kinds.index(("state-transition", 0)) < kinds.index(("send", 0))
+
+    def test_a_resume_that_receives_writes_one_row_before_resuming(self):
+        events = list(self._events())
+        assert step_rows(events).count((1, 1)) == 1
+        assert step_rows(events).count((1, 2)) == 1
+        kinds = [(e.kind, e.proc) for e in events if e.etime == 2]
+        assert kinds.index(("state-transition", 1)) < kinds.index(("halt", 1))
+
+    def test_quiet_resumes_and_idled_cycles_write_none(self):
+        events = self._events()
+        # Processor 0: a quiet resume on cycle 2, idle on cycles 3-5, and
+        # a timeout resume that halts on cycle 6.
+        assert step_rows(events) == [(0, 1), (1, 1), (1, 2)]
+
+    def test_each_async_synchronized_delivery_writes_one_row(self):
+        recorder = EventRecorder()
+        config = RingConfiguration.random(5, random.Random(4), oriented=True)
+        run_async_synchronized(
+            config,
+            lambda value, n: AsyncInputDistribution(value, n, assume_oriented=True),
+            recorder=recorder,
+        )
+        events = list(recorder.events)
+        delivers = [i for i, e in enumerate(events) if e.kind == "deliver"]
+        assert delivers
+        assert len(step_rows(events)) == len(delivers)
+        for i in delivers:
+            step = events[i + 1]
+            assert step.kind == "state-transition"
+            assert (step.proc, step.etime) == (events[i].proc, events[i].etime)
+
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_recorded_figure_2_writes_at_most_5_rows_per_message(self, n):
+        """Rows grow with the messages: a quiet processor-cycle writes
+        nothing (25.6 and 92.0 rows a message when every live processor
+        wrote a row each cycle)."""
+        result, events = recorded(workload_spec("sync_input_distribution", n))
+        assert len(events) <= 5 * result.stats.messages
 
 
 class TestAsyncEngineRecording:

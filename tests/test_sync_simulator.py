@@ -347,8 +347,9 @@ class SpelledOutGossip(Gossip):
 
 
 class TestIdleRecording:
-    """Idling is invisible in a recorded log: every skipped cycle still
-    writes its ``state-transition`` row."""
+    """Idling is invisible in a recorded log: a quiet cycle writes no
+    ``state-transition`` row, whether the process idles through it or
+    spells it out with ``Out()``."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_event_log_matches_per_cycle_quiet_outs(self, seed):
