@@ -15,11 +15,10 @@ are different.
 Run:  python examples/d0l_gallery.py
 """
 
-from repro.algorithms.sync_and import SyncAnd
 from repro.core import RingConfiguration, space_time_diagram, symmetry_index
 from repro.core.strings import distinct_cyclic_substrings
 from repro.homomorphisms import NAMED_HOMOMORPHISMS, make_bound, subword_complexity
-from repro.sync import run_synchronous
+from repro.runtime import RunSpec, execute
 
 
 def gallery() -> None:
@@ -57,7 +56,7 @@ def symmetry_in_action() -> None:
         print(f"  SI(R,{k}) = {symmetry_index(ring, k)}  "
               f"({len(distinct_cyclic_substrings(word, 2 * k + 1))} distinct "
               f"{2 * k + 1}-factors)")
-    result = run_synchronous(ring, SyncAnd, keep_log=True)
+    result = execute(RunSpec.make("sync", ring, "sync-and", record=True))
     print()
     print(space_time_diagram(ring, result))
     print()

@@ -83,7 +83,9 @@ echo "== obs overhead guard =="
 python -m pytest benchmarks/test_bench_obs.py -q
 
 echo "== trace smoke (event stream reconciles with TraceStats) =="
-python -m repro trace sync-and --n 6 --out TRACE_smoke.json --no-diagram
+# The sync-and line and the faulted line also draw the space-time
+# diagram from the stream's send events, with its ! and + fault marks.
+python -m repro trace sync-and --n 6 --out TRACE_smoke.json
 python -m repro trace input-distribution --n 5 --out TRACE_smoke.json \
     --metrics TRACE_smoke_metrics.json --no-diagram
 # Both recording rules that write a state-transition row only for a
@@ -93,9 +95,9 @@ python -m repro trace fig2-input-distribution --n 8 --out TRACE_smoke.json --no-
 python -m repro trace input-distribution --n 5 --engine async-synchronized \
     --out TRACE_smoke.json --no-diagram
 # A faulted stream: its duplicate and drop rows go through the log, both
-# exporters and reconcile.
+# exporters, reconcile and the diagram.
 python -m repro trace input-distribution --n 5 --profile dup --fault-seed 1 \
-    --out TRACE_smoke.json --no-diagram
+    --out TRACE_smoke.json
 rm -f TRACE_smoke.json TRACE_smoke.events.jsonl TRACE_smoke_metrics.json
 
 echo "== schedule-fuzz smoke (fixed seed, --jobs 2) =="

@@ -139,7 +139,6 @@ def distribute_inputs_async(
     config: RingConfiguration,
     scheduler: Optional[Scheduler] = None,
     assume_oriented: Optional[bool] = None,
-    keep_log: bool = False,
 ) -> RunResult:
     """Run §4.1 input distribution; outputs are per-processor :class:`RingView`.
 
@@ -152,7 +151,6 @@ def distribute_inputs_async(
         config,
         lambda value, n: AsyncInputDistribution(value, n, assume_oriented=oriented),
         scheduler=scheduler,
-        keep_log=keep_log,
     )
 
 

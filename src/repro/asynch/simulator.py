@@ -32,9 +32,9 @@ Both engines are hot paths — every bound in the paper is checked by
 running them — so the event loops avoid per-event rebuilding: routing is
 resolved once per (sender, port), the set of nonempty channels is
 maintained incrementally in sorted order (never re-sorted from scratch),
-and trace accounting skips :class:`~repro.core.message.Envelope`
-construction unless a log is requested.  Each fresh payload is sized
-once: a message's queue entry keeps the size its payload may carry (see
+and trace accounting is one ``record_send`` per send; who sent what is
+the recorder's to keep.  Each fresh payload is sized once: a message's
+queue entry keeps the size its payload may carry (see
 :func:`~repro.core.message.send_size`), and a handler re-sending the
 payload it was just delivered reuses that size.
 
@@ -51,7 +51,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Tuple
 
 from ..core.errors import NonTerminationError, SimulationError
-from ..core.message import Envelope, Port, send_size
+from ..core.message import Port, send_size
 from ..core.ring import RingConfiguration
 from ..core.tracing import RunResult, TraceStats
 from ..topology.base import static_route_table
@@ -75,7 +75,6 @@ class _Engine:
         self,
         config: RingConfiguration,
         factory: AsyncFactory,
-        keep_log: bool,
         recorder: Optional["Recorder"] = None,
         channel_keys: str = "cid",
         oblivious: bool = False,
@@ -88,8 +87,7 @@ class _Engine:
         self.halted = [False] * self.n
         self.crashed = [False] * self.n
         self.outputs: List[Any] = [None] * self.n
-        self.stats = TraceStats(keep_log=keep_log)
-        self.keep_log = keep_log
+        self.stats = TraceStats()
         self.recorder = recorder
         # Which channel key the recorder's FIFO mirror uses: the event
         # engine delivers per directed channel ("cid"), the synchronizing
@@ -143,7 +141,7 @@ class _Engine:
 
         Under content-oblivious delivery the payload is stripped to
         ``None`` here — the boundary where the message leaves its sender
-        — so the log, the recorder, and the receiver all see the beep.
+        — so the recorder and the receiver both see the beep.
         """
         receiver, in_port, step = self.routes[sender][out_port]
         if self.oblivious:
@@ -156,17 +154,6 @@ class _Engine:
             if carries:
                 carried = bits
         self.stats.record_send(bits, time)
-        if self.keep_log:
-            self.stats.log.append(
-                Envelope(
-                    sender=sender,
-                    receiver=receiver,
-                    out_port=out_port,
-                    in_port=in_port,
-                    payload=payload,
-                    send_time=time,
-                )
-            )
         if self.recorder is not None:
             channel = (sender, receiver, step) if self.cid_keys else (receiver, in_port)
             self.recorder.send(
@@ -198,7 +185,6 @@ def run_asynchronous(
     factory: AsyncFactory,
     scheduler: Optional[Scheduler] = None,
     max_events: Optional[int] = None,
-    keep_log: bool = False,
     adversary: Optional[Adversary] = None,
     recorder: Optional["Recorder"] = None,
     oblivious: bool = False,
@@ -228,9 +214,7 @@ def run_asynchronous(
             halted, or the scheduler chose a channel with no pending
             message (the error names the scheduler class).
     """
-    engine = _Engine(
-        config, factory, keep_log, recorder, channel_keys="cid", oblivious=oblivious
-    )
+    engine = _Engine(config, factory, recorder, channel_keys="cid", oblivious=oblivious)
     n = config.n
     budget = max_events if max_events is not None else default_event_budget(n)
     scheduler = scheduler or RoundRobinScheduler()
@@ -350,7 +334,6 @@ def run_async_synchronized(
     config: RingConfiguration,
     factory: AsyncFactory,
     max_cycles: Optional[int] = None,
-    keep_log: bool = False,
     recorder: Optional["Recorder"] = None,
     oblivious: bool = False,
 ) -> RunResult:
@@ -370,9 +353,7 @@ def run_async_synchronized(
     deliveries happen in global send order, so the recorder keys its FIFO
     mirror by ``(receiver, in_port)``.
     """
-    engine = _Engine(
-        config, factory, keep_log, recorder, channel_keys="port", oblivious=oblivious
-    )
+    engine = _Engine(config, factory, recorder, channel_keys="port", oblivious=oblivious)
     n = config.n
     budget = max_cycles if max_cycles is not None else 8 * n + 64
 

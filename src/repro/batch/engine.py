@@ -81,10 +81,10 @@ def _validate(spec: "RunSpec") -> Any:
         raise ConfigurationError(
             f"the batch engine runs synchronous specs, not engine={spec.engine!r}"
         )
-    if spec.keep_log or spec.record:
+    if spec.record:
         raise ConfigurationError(
-            "the sync-batch engine supports neither keep_log nor record; "
-            "use engine='sync' for logged or recorded runs"
+            "the sync-batch engine does not record; use engine='sync' for "
+            "recorded runs"
         )
     if spec.topology is not None or spec.message_mode != "plain":
         raise ConfigurationError(

@@ -3,24 +3,24 @@
 A debugging and teaching aid: render who sent what, when, and which way,
 as the classic distributed-computing space–time picture.  Columns are
 processors, rows are cycles, ``>``/``<`` mark sends in the +1/−1 physical
-direction, ``*`` marks a halt.  Works from the message log, so any run
-executed with ``keep_log=True`` can be drawn after the fact.
+direction, ``*`` marks a halt.  Works from the recorded event stream, so
+any run executed with ``record=True`` can be drawn after the fact.
 
     from repro.core.diagram import space_time_diagram
-    result = run_synchronous(ring, SyncAnd, keep_log=True)
+    result = execute(RunSpec.make("sync", ring, "sync-and", record=True))
     print(space_time_diagram(ring, result))
 
-When the run carries a recorded event stream (``RunResult.events``, or
-the ``events`` argument), faults show up too: ``!`` marks a dropped
-delivery and ``+`` a duplicated message, both drawn at the *receiver's*
-column on the engine-time row — so a ``drop``/``dup`` fault profile's
-footprint is visible at a glance, distinct from ordinary sends.
+Faults show up too: ``!`` marks a dropped delivery and ``+`` a
+duplicated message, both drawn at the *receiver's* column on the
+engine-time row — so a ``drop``/``dup`` fault profile's footprint is
+visible at a glance, distinct from ordinary sends.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from .message import Port
 from .ring import RingConfiguration
 from .tracing import RunResult
 
@@ -35,59 +35,59 @@ def space_time_diagram(
     show_payloads: bool = False,
     events: Optional[Sequence["Event"]] = None,
 ) -> str:
-    """Render a logged synchronous run as an ASCII space–time diagram.
+    """Render a recorded run as an ASCII space–time diagram.
 
     Args:
         config: the configuration the run executed on (for directions).
-        result: a run with ``stats.log`` populated (``keep_log=True``).
+        result: the run (its halt times and message count).
         max_cycles: truncate the picture (``None`` = all cycles).
         show_payloads: append a legend of payloads per cycle.
-        events: a recorded :mod:`repro.obs` stream to draw fault marks
-            from (``!`` dropped delivery, ``+`` duplicate, at the
-            receiver); defaults to ``result.events`` when present.
+        events: the recorded :mod:`repro.obs` stream to draw sends and
+            fault marks from (``!`` dropped delivery, ``+`` duplicate, at
+            the receiver); defaults to ``result.events``.
 
     Raises:
-        ValueError: if the run carries no message log.
+        ValueError: if the run sent messages and no stream is attached.
     """
-    if not result.stats.log and result.stats.messages:
-        raise ValueError("run has no message log; pass keep_log=True")
     if events is None:
         events = result.events
+    if events is None:
+        if result.stats.messages:
+            raise ValueError("run has no recorded event stream; pass record=True")
+        events = ()
     n = config.n
     fault_marks: Dict[Tuple[int, int], str] = {}
-    fault_rows = [0]
-    if events:
-        for event in events:
-            if event.kind not in ("drop", "duplicate") or event.proc is None:
-                continue
+    rows = [0]
+    sent: List["Event"] = []
+    for event in events:
+        if event.kind == "send":
+            sent.append(event)
+            rows.append(event.etime)
+        elif event.kind in ("drop", "duplicate") and event.proc is not None:
             mark = "!" if event.kind == "drop" else "+"
             key = (event.etime, event.proc)
             existing = fault_marks.get(key, "")
             if mark not in existing:
                 fault_marks[key] = existing + mark
-            fault_rows.append(event.etime)
-    last_cycle = max(
-        [env.send_time for env in result.stats.log]
-        + [t for t in (result.halt_times or (0,))]
-        + fault_rows
-    )
+            rows.append(event.etime)
+    last_cycle = max(rows + list(result.halt_times or (0,)))
     if max_cycles is not None:
         last_cycle = min(last_cycle, max_cycles)
 
     # cell[cycle][processor] -> marks
     sends: Dict[Tuple[int, int], str] = {}
     payload_notes: Dict[int, List[str]] = {}
-    for env in result.stats.log:
-        if env.send_time > last_cycle:
+    for event in sent:
+        if event.etime > last_cycle:
             continue
-        _recv, _port, step = config.route(env.sender, env.out_port)
+        _recv, _port, step = config.route(event.proc, Port(event.port))
         mark = ">" if step == 1 else "<"
-        key = (env.send_time, env.sender)
+        key = (event.etime, event.proc)
         existing = sends.get(key, "")
         sends[key] = "x" if existing and existing != mark else mark
         if show_payloads:
-            payload_notes.setdefault(env.send_time, []).append(
-                f"p{env.sender}{mark}{env.payload!r}"
+            payload_notes.setdefault(event.etime, []).append(
+                f"p{event.proc}{mark}{event.payload!r}"
             )
 
     width = max(3, len(str(n - 1)) + 2)

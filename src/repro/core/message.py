@@ -54,7 +54,8 @@ RIGHT = Port.RIGHT
 
 @dataclass(frozen=True)
 class Envelope:
-    """A message in transit, as recorded by the transport layer.
+    """One sent message, as rebuilt from a recorded event stream by
+    :func:`repro.obs.export.envelopes_from_events`.
 
     Attributes:
         sender: index of the sending processor (transport-level bookkeeping;

@@ -13,10 +13,9 @@ is sent), the quantity Lemma 6.1 is stated over.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from .errors import OutputDisagreement
-from .message import Envelope
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.events import EventLog
@@ -36,7 +35,9 @@ class TraceStats:
         dropped: delivery attempts that went nowhere — the receiver had
             halted or crashed, or a fault adversary lost the message.
         duplicated: extra copies manufactured by a duplication adversary.
-        log: full message log, kept only when ``keep_log`` is true.
+
+    Who sent what, when and on which ports is not kept here: that is
+    the recorded event stream (``RunResult.events``).
 
     For a completed (quiescent) asynchronous run the counters satisfy the
     conservation law ``messages + duplicated == delivered + dropped``:
@@ -50,28 +51,9 @@ class TraceStats:
     delivered: int = 0
     dropped: int = 0
     duplicated: int = 0
-    keep_log: bool = False
-    log: List[Envelope] = field(default_factory=list)
-
-    def record(self, envelope: Envelope) -> None:
-        """Account for one sent message (and log it under ``keep_log``).
-
-        Delegates the counter updates to :meth:`record_send` — the
-        accounting lives in exactly one place, so a logged run and an
-        unlogged run of the same schedule accumulate identical
-        ``messages`` / ``bits`` / ``per_cycle`` counters by construction.
-        """
-        self.record_send(envelope.bits, envelope.send_time)
-        if self.keep_log:
-            self.log.append(envelope)
 
     def record_send(self, bits: int, cycle: int) -> None:
-        """Account for one sent message from pre-extracted fields.
-
-        The engines call this directly with each send's size (taken
-        once per send) and append to :attr:`log` themselves under
-        ``keep_log``; :meth:`record` funnels through it too.
-        """
+        """Account for one sent message of ``bits`` bits at ``cycle``."""
         self.messages += 1
         self.bits += bits
         self.per_cycle[cycle] = self.per_cycle.get(cycle, 0) + 1
@@ -84,27 +66,6 @@ class TraceStats:
     def messages_at(self, cycle: int) -> int:
         """Messages sent at a specific cycle."""
         return self.per_cycle.get(cycle, 0)
-
-    def merge(self, other: "TraceStats") -> "TraceStats":
-        """Combine two traces (e.g. the two runs of a fooling-pair experiment).
-
-        The merged trace keeps a log only when *both* operands kept theirs
-        (this side's envelopes first); if either side dropped its log there
-        is nothing faithful to concatenate.
-        """
-        keep = self.keep_log and other.keep_log
-        merged = TraceStats(keep_log=keep)
-        merged.messages = self.messages + other.messages
-        merged.bits = self.bits + other.bits
-        merged.delivered = self.delivered + other.delivered
-        merged.dropped = self.dropped + other.dropped
-        merged.duplicated = self.duplicated + other.duplicated
-        for source in (self.per_cycle, other.per_cycle):
-            for cycle, count in source.items():
-                merged.per_cycle[cycle] = merged.per_cycle.get(cycle, 0) + count
-        if keep:
-            merged.log = list(self.log) + list(other.log)
-        return merged
 
 
 @dataclass(frozen=True)

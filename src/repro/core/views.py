@@ -61,14 +61,14 @@ class RingView:
         if self.entries[0][0] != 1:
             raise ConfigurationError("the viewer is oriented like itself")
         # One pass validates each orientation and swaps in the shared pair.
-        canonical = _SHARED_PAIRS.get
+        shared = _SHARED_PAIRS.get
         entries = []
         append = entries.append
         for pair in self.entries:
             rel, value = pair
             if rel != 0 and rel != 1:
                 raise ConfigurationError("relative orientations must be 0 or 1")
-            append(canonical((type(rel), rel, type(value), value), pair))
+            append(shared((type(rel), rel, type(value), value), pair))
         object.__setattr__(self, "entries", tuple(entries))
 
     # ------------------------------------------------------------------

@@ -104,7 +104,6 @@ def _execute(
     target: FuzzTarget,
     scheduler: Scheduler,
     adversary: Optional[Adversary],
-    keep_log: bool = False,
     recorder: Optional["Recorder"] = None,
 ) -> Tuple[Optional[RunResult], Optional[BaseException]]:
     try:
@@ -112,7 +111,6 @@ def _execute(
             config,
             target.factory,
             scheduler=scheduler,
-            keep_log=keep_log,
             adversary=adversary,
             recorder=recorder,
         )
@@ -166,15 +164,12 @@ def _replay(
     config: RingConfiguration,
     target: FuzzTarget,
     trace: ScheduleTrace,
-    keep_log: bool = False,
     recorder: Optional["Recorder"] = None,
 ) -> Tuple[Optional[RunResult], Optional[BaseException]]:
     """Re-run a recorded (possibly truncated) trace deterministically."""
     scheduler = ReplayScheduler(trace.choices)
     adversary = ReplayAdversary(trace.actions, trace.crashes)
-    return _execute(
-        config, target, scheduler, adversary, keep_log=keep_log, recorder=recorder
-    )
+    return _execute(config, target, scheduler, adversary, recorder=recorder)
 
 
 def _witness_events(
@@ -243,9 +238,13 @@ def _certify_replay(
     strict: bool,
     kind: str,
 ) -> bool:
-    """Replay the minimized witness twice; both runs must match exactly."""
-    first = _replay(config, target, trace, keep_log=True)
-    second = _replay(config, target, trace, keep_log=True)
+    """Replay the minimized witness twice; both runs, and their recorded
+    event streams, must match exactly."""
+    from ..obs.events import CLOCK_LAMPORT, EventRecorder
+
+    recorders = (EventRecorder(clock=CLOCK_LAMPORT), EventRecorder(clock=CLOCK_LAMPORT))
+    first = _replay(config, target, trace, recorder=recorders[0])
+    second = _replay(config, target, trace, recorder=recorders[1])
     for result, error in (first, second):
         violation = _classify(result, error, reference, strict)
         if violation is None or violation.kind != kind:
@@ -257,13 +256,8 @@ def _certify_replay(
         return repr(first[1]) == repr(second[1])
     return (
         a.outputs == b.outputs
-        and a.stats.messages == b.stats.messages
-        and a.stats.bits == b.stats.bits
-        and a.stats.per_cycle == b.stats.per_cycle
-        and a.stats.delivered == b.stats.delivered
-        and a.stats.dropped == b.stats.dropped
-        and a.stats.duplicated == b.stats.duplicated
-        and a.stats.log == b.stats.log
+        and a.stats == b.stats
+        and recorders[0].events == recorders[1].events
     )
 
 

@@ -10,10 +10,11 @@ trace-level consequence this module checks on real runs:
     payload sequences through the first k active cycles.
 
 ``verify_lemma_61`` runs an algorithm on one or two configurations,
-extracts per-processor self-relative emission traces from the message
-log, groups processors by k-neighborhood, and reports any group whose
-members diverge too early — which would falsify the simulator, the
-algorithm's anonymity, or the lemma itself.  (None do.)
+extracts per-processor self-relative emission traces from the run's
+recorded ``send`` events, groups processors by k-neighborhood, and
+reports any group whose members diverge too early — which would falsify
+the simulator, the algorithm's anonymity, or the lemma itself.  (None
+do.)
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.message import Port
 from ..core.ring import Neighborhood, RingConfiguration
 from ..core.tracing import RunResult
-from ..sync.process import SyncProcess
+from ..obs.events import CLOCK_CYCLE, Event, EventRecorder
 from ..sync.simulator import ProcessFactory, run_synchronous
 
 #: One processor's emissions at one cycle, in its own port terms.
@@ -58,25 +58,29 @@ class Lemma61Report:
         return not self.violations
 
 
+def _emissions(n: int, events: Sequence[Event]) -> List[Dict[int, _Emission]]:
+    """Per-processor, per-cycle self-relative emissions from ``send`` events."""
+    traces: List[Dict[int, List[Any]]] = [dict() for _ in range(n)]
+    for event in events:
+        if event.kind != "send":
+            continue
+        cycle_map = traces[event.proc].setdefault(event.etime, [_NOTHING, _NOTHING])
+        cycle_map[0 if event.port == "left" else 1] = event.payload
+    return [
+        {cycle: (pair[0], pair[1]) for cycle, pair in per_proc.items()}
+        for per_proc in traces
+    ]
+
+
 def emission_traces(
     config: RingConfiguration,
     factory: ProcessFactory,
     max_cycles: Optional[int] = None,
 ) -> Tuple[RunResult, List[Dict[int, _Emission]]]:
     """Per-processor, per-cycle self-relative emissions of one run."""
-    result = run_synchronous(config, factory, max_cycles=max_cycles, keep_log=True)
-    traces: List[Dict[int, List[Any]]] = [dict() for _ in range(config.n)]
-    for envelope in result.stats.log:
-        cycle_map = traces[envelope.sender].setdefault(
-            envelope.send_time, [_NOTHING, _NOTHING]
-        )
-        slot = 0 if envelope.out_port is Port.LEFT else 1
-        cycle_map[slot] = envelope.payload
-    frozen: List[Dict[int, _Emission]] = [
-        {cycle: (pair[0], pair[1]) for cycle, pair in per_proc.items()}
-        for per_proc in traces
-    ]
-    return result, frozen
+    recorder = EventRecorder(clock=CLOCK_CYCLE)
+    result = run_synchronous(config, factory, max_cycles=max_cycles, recorder=recorder)
+    return result, _emissions(config.n, recorder.events)
 
 
 def emission_traces_async(
@@ -88,19 +92,11 @@ def emission_traces_async(
     adversary (whose per-cycle structure makes Lemma 3.1 applicable)."""
     from ..asynch.simulator import run_async_synchronized
 
-    result = run_async_synchronized(config, factory, max_cycles=max_cycles, keep_log=True)
-    traces: List[Dict[int, List[Any]]] = [dict() for _ in range(config.n)]
-    for envelope in result.stats.log:
-        cycle_map = traces[envelope.sender].setdefault(
-            envelope.send_time, [_NOTHING, _NOTHING]
-        )
-        slot = 0 if envelope.out_port is Port.LEFT else 1
-        cycle_map[slot] = envelope.payload
-    frozen: List[Dict[int, _Emission]] = [
-        {cycle: (pair[0], pair[1]) for cycle, pair in per_proc.items()}
-        for per_proc in traces
-    ]
-    return result, frozen
+    recorder = EventRecorder(clock=CLOCK_CYCLE)
+    result = run_async_synchronized(
+        config, factory, max_cycles=max_cycles, recorder=recorder
+    )
+    return result, _emissions(config.n, recorder.events)
 
 
 def verify_lemma_61(

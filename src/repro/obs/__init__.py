@@ -15,8 +15,9 @@ The observability layer for both ring engines and the runtime:
   sends, time to quiescence);
 * :mod:`repro.obs.export` — JSONL and Chrome trace-event (Perfetto)
   exporters, the template renderer of an :class:`EventLog`'s wire texts,
-  the trace-event schema validator, and reconstruction of the classic
-  envelope log / space–time diagram inputs from events alone.
+  the trace-event schema validator, and reconstruction of the
+  per-message envelope view and the space–time diagram's inputs from
+  events alone.
 
 Recording is opt-in everywhere: :class:`repro.runtime.spec.RunSpec` has
 a ``record`` flag, every engine takes ``recorder=None``, and the engine

@@ -21,11 +21,11 @@ Two on-disk formats plus reconstruction helpers:
   schema test asserts on.
 
 * **Reconstruction** — :func:`envelopes_from_events` and
-  :func:`result_from_events` rebuild the classic
-  :class:`~repro.core.message.Envelope` log and a renderable
+  :func:`result_from_events` rebuild the per-message
+  :class:`~repro.core.message.Envelope` view and a renderable
   :class:`~repro.core.tracing.RunResult` from a recorded stream, which is
-  how ``python -m repro trace`` draws the existing space–time diagram
-  from events alone.
+  how ``python -m repro trace`` draws the space–time diagram from events
+  alone.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..core.message import Envelope, Port
 from ..core.tracing import RunResult, TraceStats
@@ -397,58 +397,38 @@ def validate_chrome_trace(payload: Any) -> List[str]:
 # ----------------------------------------------------------------------
 
 
-def envelopes_from_events(events: Iterable[Event]) -> List[Envelope]:
-    """Rebuild the classic message log from the stream's send events."""
-    envelopes = []
-    for event in events:
-        if event.kind != "send":
-            continue
-        receiver = event.peer
-        out_port = Port(event.port)
-        envelopes.append(
-            Envelope(
-                sender=event.proc,
-                receiver=receiver,
-                out_port=out_port,
-                # The in-port travels on the paired enqueue event; recover
-                # it from the matching enqueue if present, else fall back
-                # to the out-port (overridden below when available).
-                in_port=out_port,
-                payload=event.payload,
-                send_time=event.etime,
-            )
-        )
-    # Second pass: fix in_ports from enqueue events (same msg ids).
-    in_ports = {
-        event.msg: Port(event.port) for event in events if event.kind == "enqueue"
-    }
-    sends = [event for event in events if event.kind == "send"]
+def envelopes_from_events(events: Sequence[Event]) -> List[Envelope]:
+    """Every send of the stream as an :class:`Envelope`, in send order."""
+    # The in-port travels on the send's paired enqueue event (same msg
+    # id); a send with no enqueue falls back to its out-port.
+    in_ports = {event.msg: event.port for event in events if event.kind == "enqueue"}
     return [
         Envelope(
-            sender=env.sender,
-            receiver=env.receiver,
-            out_port=env.out_port,
-            in_port=in_ports.get(send.msg, env.in_port),
-            payload=env.payload,
-            send_time=env.send_time,
+            sender=event.proc,
+            receiver=event.peer,
+            out_port=Port(event.port),
+            in_port=Port(in_ports.get(event.msg, event.port)),
+            payload=event.payload,
+            send_time=event.etime,
         )
-        for env, send in zip(envelopes, sends)
+        for event in events
+        if event.kind == "send"
     ]
 
 
 def result_from_events(events: Sequence[Event], n: int) -> RunResult:
     """A renderable :class:`RunResult` reconstructed from the stream alone.
 
-    Outputs, halt times, the full envelope log and the send counters all
-    come from events — enough to drive
+    Outputs, halt times and the send counters all come from events —
+    with the same stream as ``events=``, enough to drive
     :func:`repro.core.diagram.space_time_diagram` without rerunning the
     spec.
     """
-    stats = TraceStats(keep_log=True)
-    for envelope in envelopes_from_events(events):
-        stats.record(envelope)
+    stats = TraceStats()
     for event in events:
-        if event.kind == "deliver":
+        if event.kind == "send":
+            stats.record_send(event.bits, event.etime)
+        elif event.kind == "deliver":
             stats.delivered += 1
         elif event.kind == "drop":
             stats.dropped += 1

@@ -610,11 +610,6 @@ _EXPERIMENT_FUNCS: Dict[str, Callable[..., ExperimentRecord]] = {
     "E20": experiment_e20,
 }
 
-#: All experiment functions in index order (kept for compatibility).
-ALL_EXPERIMENTS: List[Callable[[], ExperimentRecord]] = [
-    _EXPERIMENT_FUNCS[exp_id] for exp_id in EXPERIMENT_IDS
-]
-
 
 def run_experiment(exp_id: str, quick: bool = False) -> ExperimentRecord:
     """Run one experiment by id — the pool-worker entry point.

@@ -6,22 +6,23 @@ those knobs as plain data: the engine kind, the
 :class:`~repro.core.ring.RingConfiguration`, the algorithm *name* (a
 :mod:`repro.runtime.registry` key — never a factory object), scheduler
 and fault-adversary coordinates, wake-up schedule, budget, and whether to
-keep a full message log.  :func:`execute` is the single dispatcher both
-engines sit behind.
+record the typed event stream.  :func:`execute` is the single dispatcher
+every engine sits behind.
 
 Because a spec is frozen, hashable, and picklable, the same object can be
 handed to a ``multiprocessing`` worker, replayed later in a process that
 never built it, or fingerprinted by :meth:`RunSpec.digest` to key the
-on-disk result cache.  The digest is a pure function of the spec's fields
-plus the package's code version — it contains no timestamps, hostnames,
-or other volatile metadata, so two runs of the same spec on the same code
-always share a cache slot (see ``docs/runtime.md`` for the determinism
-contract).
+on-disk result cache.  The digest hashes the spec's JSON wire form
+(:meth:`RunSpec.to_json_dict`) plus the package's code version — it
+contains no timestamps, hostnames, or other volatile metadata, so two
+runs of the same spec on the same code always share a cache slot (see
+``docs/runtime.md`` for the determinism contract).
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -49,10 +50,17 @@ SCHEDULERS = ("round-robin", "random", "greedy", "bounded-delay")
 #: crosses the wire (Chalopin et al., content-oblivious computation).
 MESSAGE_MODES = ("plain", "oblivious")
 
-#: Fields added after the seed corpus was digested, omitted from
-#: :meth:`RunSpec.canonical` at their defaults: every pre-existing
-#: static-ring spec keeps its canonical form — and its cache slot.
-_OMIT_AT_DEFAULT = {"topology": None, "message_mode": "plain"}
+#: The digest's JSON spelling of the wire form: sorted keys, compact
+#: separators (``json.dumps(..., sort_keys=True, separators=(",", ":"))``).
+_DIGEST_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+#: Types :func:`_encode_json` passes through unchanged.
+_JSON_SCALARS = frozenset((type(None), bool, int, float, str))
+
+#: Fields that hold an ``int`` or ``None``.  Only an exact ``int`` is
+#: taken: ``True`` or ``100.0`` would build a spec equal to its int twin
+#: whose wire form, and so whose digest, differs.
+_OPTIONAL_INTS = ("scheduler_seed", "fault_seed", "fault_horizon", "budget")
 
 
 @dataclass(frozen=True)
@@ -85,7 +93,6 @@ class RunSpec:
             ``None`` for a simultaneous start.
         budget: cycle budget (sync / async-synchronized) or event budget
             (async); ``None`` means the engine default.
-        keep_log: retain the full message log on the result's stats.
         record: attach the typed :mod:`repro.obs` event stream to the
             result (``RunResult.events``) — cycle-stamped for the
             synchronous engines, Lamport-stamped for the general
@@ -115,7 +122,6 @@ class RunSpec:
     fault_horizon: Optional[int] = None
     wakeup: Optional[Tuple[int, ...]] = None
     budget: Optional[int] = None
-    keep_log: bool = False
     record: bool = False
     topology: Optional[TopologySpec] = None
     message_mode: str = "plain"
@@ -125,6 +131,16 @@ class RunSpec:
             raise ConfigurationError(
                 f"unknown engine {self.engine!r}; choose from {ENGINES}"
             )
+        for name in _OPTIONAL_INTS:
+            value = getattr(self, name)
+            if value is not None and type(value) is not int:
+                raise ConfigurationError(f"{name} must be an int or None, got {value!r}")
+        if type(self.delay_bound) is not int:
+            raise ConfigurationError(f"delay_bound must be an int, got {self.delay_bound!r}")
+        if self.wakeup is not None and any(type(at) is not int for at in self.wakeup):
+            raise ConfigurationError(f"wakeup cycles must be ints, got {self.wakeup!r}")
+        if type(self.record) is not bool:
+            raise ConfigurationError(f"record must be a bool, got {self.record!r}")
         if self.scheduler is not None:
             if self.engine != "async":
                 raise ConfigurationError(
@@ -173,10 +189,10 @@ class RunSpec:
             raise ConfigurationError(
                 "wakeup schedules only apply to the sync engines"
             )
-        if self.engine == "sync-batch" and (self.keep_log or self.record):
+        if self.engine == "sync-batch" and self.record:
             raise ConfigurationError(
-                "the sync-batch engine supports neither keep_log nor record; "
-                "use engine='sync' for logged or recorded runs"
+                "the sync-batch engine does not record; use engine='sync' for "
+                "recorded runs"
             )
         if self.topology is not None:
             if not isinstance(self.topology, TopologySpec):
@@ -229,29 +245,9 @@ class RunSpec:
         """A copy with some fields replaced (``dataclasses.replace``)."""
         return replace(self, **changes)
 
-    def canonical(self) -> Tuple[Tuple[str, str], ...]:
-        """A stable, fully stringified view of every field.
-
-        ``repr`` of the field values is the serialization: inputs are
-        ints/strings/tuples whose reprs are stable across processes and
-        ``PYTHONHASHSEED`` values.  Volatile context (timestamps, host,
-        git state) is deliberately absent — it has no field to live in.
-        """
-        out = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # Fields added after the original corpus was digested are
-            # omitted at their defaults, so pre-existing specs keep
-            # their canonical form — and their cache slots.
-            if f.name in _OMIT_AT_DEFAULT and value == _OMIT_AT_DEFAULT[f.name]:
-                continue
-            if isinstance(value, RingConfiguration):
-                value = (value.inputs, value.orientations)
-            out.append((f.name, repr(value)))
-        return tuple(out)
-
     def structural_digest(self) -> str:
-        """Content address of the spec's fields alone.
+        """Content address of the spec's fields alone: the SHA-256 of its
+        wire form, :meth:`to_json_dict`, as sorted-key compact JSON.
 
         Unlike :meth:`digest` this does not mix in the package's
         :func:`~repro.runtime.cache.code_version`, so it is stable
@@ -259,13 +255,8 @@ class RunSpec:
         test pins: a refactor that changes any structural digest would
         silently invalidate every cache entry.
         """
-        hasher = hashlib.sha256()
-        for name, value in self.canonical():
-            hasher.update(name.encode())
-            hasher.update(b"=")
-            hasher.update(value.encode())
-            hasher.update(b"\n")
-        return hasher.hexdigest()
+        text = _DIGEST_JSON.encode(self.to_json_dict())
+        return hashlib.sha256(text.encode()).hexdigest()
 
     def digest(self) -> str:
         """Content address of this spec under the current code version."""
@@ -278,17 +269,22 @@ class RunSpec:
         """This spec as plain JSON-able data (the gateway wire format).
 
         The inverse of :meth:`from_json_dict`: the round trip preserves
-        equality and therefore :meth:`digest`.  Ring inputs and params
-        values go through a strict tagged encoding (JSON scalars pass
-        through, tuples become ``{"__t__": "tuple", "v": [...]}``);
-        anything that would not survive the round trip bit-for-bit is
-        rejected rather than silently degraded — a spec that decodes to
-        a different digest would poison the shared cache.
+        equality and, since the digest hashes this form, :meth:`digest`.
+        Ring inputs and params values go through a strict tagged encoding
+        (JSON scalars pass through, tuples become ``{"__t__": "tuple",
+        "v": [...]}``); anything that would not survive the round trip
+        bit-for-bit is rejected rather than silently degraded — a spec
+        that decodes to a different digest would poison the shared cache.
         """
+        inputs = self.ring.inputs
         return {
             "engine": self.engine,
             "ring": {
-                "inputs": [_encode_json(value) for value in self.ring.inputs],
+                "inputs": (
+                    list(inputs)
+                    if all(type(value) in _JSON_SCALARS for value in inputs)
+                    else [_encode_json(value) for value in inputs]
+                ),
                 "orientations": list(self.ring.orientations),
             },
             "algorithm": self.algorithm,
@@ -301,7 +297,6 @@ class RunSpec:
             "fault_horizon": self.fault_horizon,
             "wakeup": list(self.wakeup) if self.wakeup is not None else None,
             "budget": self.budget,
-            "keep_log": self.keep_log,
             "record": self.record,
             "topology": (
                 self.topology.to_json_dict() if self.topology is not None else None
@@ -338,10 +333,15 @@ class RunSpec:
                 "spec 'ring' must be an object with exactly "
                 "'inputs' and 'orientations'"
             )
-        ring = RingConfiguration(
-            tuple(_decode_json(value) for value in ring_data["inputs"]),
-            tuple(int(bit) for bit in ring_data["orientations"]),
-        )
+        try:
+            ring = RingConfiguration(
+                tuple(_decode_json(value) for value in ring_data["inputs"]),
+                tuple(int(bit) for bit in ring_data["orientations"]),
+            )
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                "spec 'ring' needs a list of inputs and a list of 0/1 orientation bits"
+            ) from None
         raw_params = data.get("params") or ()
         try:
             params = tuple((str(key), _decode_json(value)) for key, value in raw_params)
@@ -350,6 +350,8 @@ class RunSpec:
                 "spec 'params' must be a list of [key, value] pairs"
             ) from None
         wakeup = data.get("wakeup")
+        if wakeup is not None and not isinstance(wakeup, list):
+            raise ConfigurationError(f"spec 'wakeup' must be a list, got {wakeup!r}")
         topology_data = data.get("topology")
         topology = (
             TopologySpec.from_json_dict(topology_data)
@@ -367,10 +369,9 @@ class RunSpec:
             fault_profile=data.get("fault_profile"),
             fault_seed=data.get("fault_seed"),
             fault_horizon=data.get("fault_horizon"),
-            wakeup=tuple(int(cycle) for cycle in wakeup) if wakeup is not None else None,
+            wakeup=tuple(wakeup) if wakeup is not None else None,
             budget=data.get("budget"),
-            keep_log=bool(data.get("keep_log", False)),
-            record=bool(data.get("record", False)),
+            record=data.get("record", False),
             topology=topology,
             message_mode=str(data.get("message_mode", "plain")),
         )
@@ -466,7 +467,7 @@ def execute(spec: RunSpec) -> RunResult:
 
     Every field of the result is a deterministic function of the spec:
     re-executing the same spec (in any process, on any worker of a pool)
-    produces identical outputs, counters, and logs.  With ``record`` on,
+    produces identical outputs and counters.  With ``record`` on,
     the recorder's :class:`~repro.obs.events.EventLog` is attached as
     ``result.events`` (itself deterministic — it is a pure function of the
     schedule).
@@ -501,7 +502,6 @@ def execute(spec: RunSpec) -> RunResult:
             factory,
             wakeup=wakeup,
             max_cycles=spec.budget,
-            keep_log=spec.keep_log,
             recorder=recorder,
             topology=topology,
             oblivious=oblivious,
@@ -513,7 +513,6 @@ def execute(spec: RunSpec) -> RunResult:
             spec.ring,
             factory,
             max_cycles=spec.budget,
-            keep_log=spec.keep_log,
             recorder=recorder,
             oblivious=oblivious,
         )
@@ -525,7 +524,6 @@ def execute(spec: RunSpec) -> RunResult:
             factory,
             scheduler=build_scheduler(spec),
             max_events=spec.budget,
-            keep_log=spec.keep_log,
             adversary=build_adversary(spec),
             recorder=recorder,
             oblivious=oblivious,

@@ -47,16 +47,15 @@ a due list instead of every processor: in index order, the processors
 that yielded an ``Out`` last cycle, the receivers of last cycle's
 messages, and the starts and ``Idle`` timeouts due this cycle.  Index
 order matters: emission order fixes the send order, and with it the
-log, the wake inboxes and recorded message ids.  A tuple's size travels
-with it for two cycles (:func:`~repro.core.message.send_size`), so a
-relay forwarding the tuple it was delivered is not charged a second
+wake inboxes and the recorded stream's message ids.  A tuple's size
+travels with it for two cycles (:func:`~repro.core.message.send_size`),
+so a relay forwarding the tuple it was delivered is not charged a second
 walk.  The loop also keeps a live halted counter, reuses the per-cycle
-arrival buffers, routes only emissions that send something, and skips
-:class:`~repro.core.message.Envelope` construction unless a log is
-requested.  Delivered :class:`In` objects are allocated fresh only for
-processors that actually received something; the shared empty ``In``
-handed out otherwise must be treated as read-only (processes only ever
-read their inbox).
+arrival buffers, and routes only emissions that send something.
+Delivered :class:`In` objects are allocated fresh only for processors
+that actually received something; the shared empty ``In`` handed out
+otherwise must be treated as read-only (processes only ever read their
+inbox).
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ import math
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.errors import NonTerminationError, SimulationError
-from ..core.message import Envelope, Port, bit_length, send_size
+from ..core.message import Port, bit_length, send_size
 from ..core.ring import RingConfiguration
 from ..core.tracing import RunResult, TraceStats
 from ..topology.base import StaticRing, Topology
@@ -99,7 +98,6 @@ def run_synchronous(
     factory: ProcessFactory,
     wakeup: Optional[WakeupSchedule] = None,
     max_cycles: Optional[int] = None,
-    keep_log: bool = False,
     recorder: Optional["Recorder"] = None,
     topology: Optional[Topology] = None,
     oblivious: bool = False,
@@ -111,7 +109,6 @@ def run_synchronous(
         factory: builds each processor's program from ``(input, n)``.
         wakeup: spontaneous wake-up cycles; default is simultaneous start.
         max_cycles: cycle budget; defaults to :func:`default_cycle_budget`.
-        keep_log: retain the full message log on the returned stats.
         recorder: optional :class:`repro.obs.events.Recorder` receiving
             the typed event stream (cycle-stamped); ``None`` — the
             default — records nothing and costs nothing.
@@ -156,7 +153,7 @@ def run_synchronous(
     # (0 when it is not idling).
     idle_until = [0] * n
     idle_from = [-1] * n
-    stats = TraceStats(keep_log=keep_log)
+    stats = TraceStats()
     budget = max_cycles if max_cycles is not None else default_cycle_budget(n)
 
     # The due list.  Half-step 1 visits, in index order, only processors
@@ -307,17 +304,6 @@ def run_synchronous(
                 else:
                     bits = bit_length(payload)
                 stats.record_send(bits, cycle)
-                if keep_log:
-                    stats.log.append(
-                        Envelope(
-                            sender=sender,
-                            receiver=receiver,
-                            out_port=port,
-                            in_port=in_port,
-                            payload=payload,
-                            send_time=cycle,
-                        )
-                    )
                 if recorder is not None:
                     # Channel key: each (sender, out-port) is one link, and
                     # its message is delivered or dropped before the next

@@ -2,15 +2,13 @@
 
 A :class:`~repro.runtime.spec.RunSpec` stays pure data, so the topology
 knob it carries must be pure data too: a frozen, hashable dataclass whose
-``repr`` is stable across processes (it feeds the spec digest) and whose
-JSON round trip is exact (it rides the gateway wire format).  The
+JSON round trip is exact (it rides the gateway wire format, which the
+spec digest hashes).  The
 behavioral object — :class:`repro.topology.dynamic.DynamicTopology` — is
 built from this description at execution time by :func:`build_topology`.
 
 ``topology=None`` on a spec means the static ring of the paper; that case
-never reaches this module, which is how pre-existing static-ring digests
-stay byte-identical (the field is omitted from ``RunSpec.canonical()`` at
-its default).
+never reaches this module.
 """
 
 from __future__ import annotations
@@ -61,6 +59,15 @@ class TopologySpec:
                 f"topology seed must be an int, got {self.seed!r} (specs must "
                 "be replayable)"
             )
+        # Stored as floats: ``churn=1`` and ``churn=1.0`` build equal
+        # specs, and equal specs must write one wire form, one digest.
+        for name in ("churn", "path_rate"):
+            value = getattr(self, name)
+            if type(value) not in (int, float):
+                raise ConfigurationError(
+                    f"topology {name} must be a number, got {value!r}"
+                )
+            object.__setattr__(self, name, float(value))
         if not 0.0 < self.churn <= 1.0:
             raise ConfigurationError(
                 f"topology churn must be in (0, 1], got {self.churn!r} "
@@ -99,8 +106,8 @@ class TopologySpec:
         return cls(
             kind=str(data["kind"]),
             seed=data["seed"],
-            churn=float(data.get("churn", 1.0)),
-            path_rate=float(data.get("path_rate", 0.0)),
+            churn=data.get("churn", 1.0),
+            path_rate=data.get("path_rate", 0.0),
         )
 
 

@@ -15,9 +15,12 @@ every event, rebuild every per-cycle structure from scratch, scan
   cycle on and is resumed with ``(elapsed, In)`` on the cycle after one in
   which something arrived, or after ``k`` cycles.
 
-``tests/test_trace_equivalence.py`` asserts byte-identical traces between
-these and the optimized engines on randomized rings and schedules.  Keep
-these slow and simple: their value is being obviously right.
+Each reference engine keeps its own list of sends, one
+:class:`~repro.core.message.Envelope` each, appended to the ``sends``
+list a caller passes in.  ``tests/test_trace_equivalence.py`` asserts
+that list equals the optimized engines' recorded send events, and all
+counters agree, on randomized rings and schedules.  Keep these slow and
+simple: their value is being obviously right.
 
 :class:`ReferenceEventRecorder` plays the same role for the
 :mod:`repro.obs` event log: it records each event as a frozen
@@ -75,13 +78,19 @@ def bit_length_reference(payload: Any) -> int:
 class _RefEngine:
     """Reference counterpart of the shared async machinery."""
 
-    def __init__(self, config: RingConfiguration, factory: AsyncFactory, keep_log: bool):
+    def __init__(
+        self,
+        config: RingConfiguration,
+        factory: AsyncFactory,
+        sends: Optional[List[Envelope]],
+    ):
         self.config = config
         self.n = config.n
         self.processes = [factory(config.inputs[i], config.n) for i in range(config.n)]
         self.halted = [False] * self.n
         self.outputs: List[Any] = [None] * self.n
-        self.stats = TraceStats(keep_log=keep_log)
+        self.stats = TraceStats()
+        self.sends = sends if sends is not None else []
 
     def invoke_start(self, i: int) -> List[Tuple[Port, Any]]:
         ctx = Context()
@@ -101,16 +110,16 @@ class _RefEngine:
 
     def record(self, sender: int, out_port: Port, payload: Any, time: int):
         receiver, in_port, step = self.config.route(sender, out_port)
-        self.stats.record(
-            Envelope(
-                sender=sender,
-                receiver=receiver,
-                out_port=out_port,
-                in_port=in_port,
-                payload=payload,
-                send_time=time,
-            )
+        envelope = Envelope(
+            sender=sender,
+            receiver=receiver,
+            out_port=out_port,
+            in_port=in_port,
+            payload=payload,
+            send_time=time,
         )
+        self.stats.record_send(envelope.bits, time)
+        self.sends.append(envelope)
         return receiver, in_port, step
 
     def check_all_halted(self) -> None:
@@ -127,10 +136,10 @@ def run_asynchronous_reference(
     factory: AsyncFactory,
     scheduler: Optional[Scheduler] = None,
     max_events: Optional[int] = None,
-    keep_log: bool = False,
+    sends: Optional[List[Envelope]] = None,
 ) -> RunResult:
     """Seed-style general async engine: re-sorts pending channels per event."""
-    engine = _RefEngine(config, factory, keep_log)
+    engine = _RefEngine(config, factory, sends)
     n = config.n
     budget = max_events if max_events is not None else default_event_budget(n)
     scheduler = scheduler or RoundRobinScheduler()
@@ -179,10 +188,10 @@ def run_async_synchronized_reference(
     config: RingConfiguration,
     factory: AsyncFactory,
     max_cycles: Optional[int] = None,
-    keep_log: bool = False,
+    sends: Optional[List[Envelope]] = None,
 ) -> RunResult:
     """Seed-style Theorem 5.1 adversary: rebuilds the inflight store per cycle."""
-    engine = _RefEngine(config, factory, keep_log)
+    engine = _RefEngine(config, factory, sends)
     n = config.n
     budget = max_cycles if max_cycles is not None else 8 * n + 64
 
@@ -224,9 +233,11 @@ def run_synchronous_reference(
     factory: ProcessFactory,
     wakeup: Optional[WakeupSchedule] = None,
     max_cycles: Optional[int] = None,
-    keep_log: bool = False,
+    sends: Optional[List[Envelope]] = None,
 ) -> RunResult:
     """Seed-style synchronous engine: fresh structures every cycle."""
+    if sends is None:
+        sends = []
     n = config.n
     wakeup = wakeup or WakeupSchedule.simultaneous(n)
     if wakeup.n != n:
@@ -242,7 +253,7 @@ def run_synchronous_reference(
     last_in: List[In] = [In() for _ in range(n)]
     # (first idle cycle, k) of each processor's current Idle(k), or None.
     idling: List[Optional[Tuple[int, int]]] = [None] * n
-    stats = TraceStats(keep_log=keep_log)
+    stats = TraceStats()
     budget = max_cycles if max_cycles is not None else default_cycle_budget(n)
 
     cycle = 0
@@ -295,16 +306,16 @@ def run_synchronous_reference(
         for sender, out in emissions:
             for port, payload in out.sends():
                 receiver, in_port = config.arrival_port(sender, port)
-                stats.record(
-                    Envelope(
-                        sender=sender,
-                        receiver=receiver,
-                        out_port=port,
-                        in_port=in_port,
-                        payload=payload,
-                        send_time=cycle,
-                    )
+                envelope = Envelope(
+                    sender=sender,
+                    receiver=receiver,
+                    out_port=port,
+                    in_port=in_port,
+                    payload=payload,
+                    send_time=cycle,
                 )
+                stats.record_send(envelope.bits, cycle)
+                sends.append(envelope)
                 if halted[receiver]:
                     continue
                 if gens[receiver] is None and wake_time[receiver] > cycle:

@@ -142,7 +142,7 @@ class TestSynchronizedAdversary:
     def test_round_structure(self):
         """All starts at cycle 0, all deliveries of a wave share a cycle."""
         ring = RingConfiguration.oriented([1, 2, 3, 4, 5])
-        result = run_async_synchronized(ring, PingOnce, keep_log=True)
+        result = run_async_synchronized(ring, PingOnce)
         assert result.cycles == 1
         assert result.stats.per_cycle == {0: 10}
 
@@ -181,7 +181,7 @@ class TestSynchronizedAdversary:
                     ctx.halt(payload)
 
         ring = RingConfiguration.oriented(["src", "a", "b", "c"])
-        result = run_async_synchronized(ring, Relay, keep_log=True)
+        result = run_async_synchronized(ring, Relay)
         # hop i delivered at cycle i+1; 4 messages over 4 cycles.
         assert result.stats.messages == 4
         assert sorted(result.stats.per_cycle.keys()) == [0, 1, 2, 3]

@@ -133,10 +133,8 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="no batch program"):
             run_batch([spec])
 
-    def test_keep_log_and_record_rejected_at_spec_construction(self):
-        with pytest.raises(ConfigurationError, match="neither keep_log nor record"):
-            _and_spec([1, 1, 1], keep_log=True)
-        with pytest.raises(ConfigurationError, match="neither keep_log nor record"):
+    def test_record_rejected_at_spec_construction(self):
+        with pytest.raises(ConfigurationError, match="does not record"):
             _and_spec([1, 1, 1], record=True)
 
     def test_algorithm_input_validation_matches_generator(self):

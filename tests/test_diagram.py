@@ -7,58 +7,59 @@ import pytest
 from repro.algorithms.sync_and import SyncAnd
 from repro.core import RingConfiguration
 from repro.core.diagram import message_density, space_time_diagram
+from repro.runtime import RunSpec, execute
 from repro.sync import run_synchronous
 
 
-def logged_run(bits):
+def recorded_run(bits):
     config = RingConfiguration.oriented(bits)
-    return config, run_synchronous(config, SyncAnd, keep_log=True)
+    return config, execute(RunSpec.make("sync", config, "sync-and", record=True))
 
 
 class TestSpaceTime:
     def test_renders(self):
-        config, result = logged_run([0, 1, 1, 1, 0])
+        config, result = recorded_run([0, 1, 1, 1, 0])
         art = space_time_diagram(config, result)
         assert "cyc |" in art
         assert "legend:" in art
         assert ">" in art or "<" in art or "x" in art
 
     def test_halts_marked(self):
-        config, result = logged_run([1, 1, 1])
+        config, result = recorded_run([1, 1, 1])
         art = space_time_diagram(config, result)
         assert "*" in art
 
     def test_requires_log(self):
         config = RingConfiguration.oriented([0, 1, 1])
-        result = run_synchronous(config, SyncAnd)  # no log
-        with pytest.raises(ValueError):
+        result = run_synchronous(config, SyncAnd)  # not recorded
+        with pytest.raises(ValueError, match="record=True"):
             space_time_diagram(config, result)
 
     def test_silent_run_ok_without_log(self):
         config = RingConfiguration.oriented([1, 1, 1])
-        result = run_synchronous(config, SyncAnd)  # zero messages, no log needed
+        result = run_synchronous(config, SyncAnd)  # zero messages, no stream needed
         art = space_time_diagram(config, result)
         assert "0 messages total" in art
 
     def test_truncation(self):
-        config, result = logged_run([0] * 6)
+        config, result = recorded_run([0] * 6)
         art = space_time_diagram(config, result, max_cycles=0)
         assert art.count("\n") < 10
 
     def test_payload_legend(self):
-        config, result = logged_run([0, 1, 1])
+        config, result = recorded_run([0, 1, 1])
         art = space_time_diagram(config, result, show_payloads=True)
         assert "p0" in art
 
 
 class TestDensity:
     def test_sparkline(self):
-        _config, result = logged_run([0, 1, 1, 1, 1, 1, 1])
+        _config, result = recorded_run([0, 1, 1, 1, 1, 1, 1])
         line = message_density(result)
         assert len(line) == 10
 
     def test_empty(self):
-        _config, result = logged_run([1, 1, 1])
+        _config, result = recorded_run([1, 1, 1])
         assert message_density(result) == "(no messages)"
 
 
@@ -115,7 +116,6 @@ class TestFaultMarks:
             scheduler_seed=0,
             fault_profile="dup",
             fault_seed=1,
-            keep_log=True,
             record=True,
         )
         result = execute(spec)
@@ -136,7 +136,9 @@ class TestFaultMarks:
         assert "+ duplicate" in art
 
     def test_faultless_run_keeps_plain_legend(self):
-        config, result = logged_run([0, 1, 1, 1])
+        # All zeros: nobody halts while a neighbor still sends, so the
+        # stream has no drop (0111 drops two sends at halted receivers).
+        config, result = recorded_run([0, 0, 0, 0])
         art = space_time_diagram(config, result)
         assert "dropped delivery" not in art and "+ duplicate" not in art
 
@@ -147,5 +149,5 @@ class TestFaultMarks:
         assert "dropped" in line
 
     def test_density_quiet_without_faults(self):
-        _config, result = logged_run([0, 1, 1, 1, 1, 1, 1])
+        _config, result = recorded_run([0, 1, 1, 1, 1, 1, 1])
         assert "dropped" not in message_density(result)

@@ -8,9 +8,7 @@ Each class pins one of the fixed bugs:
 * two same-cycle messages to a *waking* processor on the same port were
   silently appended to its wake inbox while awake processors raised;
 * ``default_cycle_budget`` claimed the Figure 2 ``log₁.₅`` bound but
-  computed with ``log₂``;
-* ``TraceStats.merge`` dropped both logs even when both operands kept
-  theirs.
+  computed with ``log₂``.
 """
 
 from __future__ import annotations
@@ -21,8 +19,8 @@ import pytest
 
 from repro.asynch import AsyncProcess, run_asynchronous
 from repro.core import LEFT, RIGHT, RingConfiguration, SimulationError
-from repro.core.message import Envelope, Port
-from repro.core.tracing import TraceStats
+from repro.core.message import Port
+from repro.obs import CLOCK_LAMPORT, EventRecorder, envelopes_from_events
 from repro.sync import Out, SyncProcess, WakeupSchedule, run_synchronous
 from repro.sync.simulator import default_cycle_budget
 
@@ -45,13 +43,19 @@ class StartAndEcho(AsyncProcess):
         ctx.send_both(self.input)
 
 
+def _sends(config, factory):
+    """The run's sends, read back from its recorded event stream."""
+    recorder = EventRecorder(clock=CLOCK_LAMPORT)
+    run_asynchronous(config, factory, recorder=recorder)
+    return envelopes_from_events(recorder.events)
+
+
 class TestAsyncStartTiming:
     def test_start_sends_stamped_zero(self):
         """Every start-event send carries send_time 0, for any processor."""
         n = 7
         config = RingConfiguration.oriented(range(n))
-        result = run_asynchronous(config, StartAndEcho, keep_log=True)
-        start_sends = [env for env in result.stats.log if env.send_time == 0]
+        start_sends = [env for env in _sends(config, StartAndEcho) if env.send_time == 0]
         assert len(start_sends) == 2 * n
         assert {env.sender for env in start_sends} == set(range(n))
 
@@ -67,18 +71,15 @@ class TestAsyncStartTiming:
                 raise AssertionError("unreachable: all halt at start")
 
         n = 9
-        result = run_asynchronous(
-            RingConfiguration.oriented([0] * n), StartOnly, keep_log=True
-        )
+        result = run_asynchronous(RingConfiguration.oriented([0] * n), StartOnly)
         assert result.stats.per_cycle == {0: 2 * n}
 
     def test_delivery_clock_starts_after_start_phase(self):
         """The k-th delivery's sends are stamped k, not offset by n start ticks."""
         n = 5
         config = RingConfiguration.oriented(range(n))
-        result = run_asynchronous(config, StartAndEcho, keep_log=True)
         delivery_times = sorted(
-            env.send_time for env in result.stats.log if env.send_time > 0
+            env.send_time for env in _sends(config, StartAndEcho) if env.send_time > 0
         )
         # The very first delivery triggers an echo stamped 1 (seed: n+1).
         assert delivery_times
@@ -148,48 +149,6 @@ class TestCycleBudget:
         sizes = (2, 4, 8, 16, 64, 256, 1024)
         budgets = [default_cycle_budget(n) for n in sizes]
         assert budgets == sorted(budgets)
-
-
-def _envelope(time: int, payload="x") -> Envelope:
-    return Envelope(
-        sender=0,
-        receiver=1,
-        out_port=Port.RIGHT,
-        in_port=Port.LEFT,
-        payload=payload,
-        send_time=time,
-    )
-
-
-class TestMergePreservesLogs:
-    def test_both_logs_concatenated(self):
-        a = TraceStats(keep_log=True)
-        b = TraceStats(keep_log=True)
-        a.record(_envelope(0, "a"))
-        b.record(_envelope(1, "b"))
-        merged = a.merge(b)
-        assert merged.keep_log
-        assert [env.payload for env in merged.log] == ["a", "b"]
-        assert merged.messages == 2
-        assert merged.per_cycle == {0: 1, 1: 1}
-
-    def test_one_side_without_log_drops_it(self):
-        a = TraceStats(keep_log=True)
-        b = TraceStats(keep_log=False)
-        a.record(_envelope(0))
-        b.record(_envelope(1))
-        merged = a.merge(b)
-        assert not merged.keep_log
-        assert merged.log == []
-        assert merged.messages == 2
-
-    def test_merge_does_not_alias_operand_logs(self):
-        a = TraceStats(keep_log=True)
-        b = TraceStats(keep_log=True)
-        a.record(_envelope(0))
-        merged = a.merge(b)
-        merged.log.append(_envelope(9))
-        assert len(a.log) == 1
 
 
 class TestIncrementalPending:

@@ -27,6 +27,14 @@ from repro.asynch import (
 from repro.core import LEFT, RIGHT, RingConfiguration, SimulationError
 from repro.asynch.process import AsyncProcess
 from repro.faults import ReplayScheduler
+from repro.obs import CLOCK_LAMPORT, EventRecorder
+
+
+def _recorded(ring, factory, **kwargs):
+    """Run the general async engine with a recorder: (result, events)."""
+    recorder = EventRecorder(clock=CLOCK_LAMPORT)
+    result = run_asynchronous(ring, factory, recorder=recorder, **kwargs)
+    return result, recorder.events
 
 
 class PingOnce(AsyncProcess):
@@ -70,16 +78,13 @@ class TestClockTicksOnlyOnDeliveries:
         # R's resulting send must be stamped send_time = 1: it is caused
         # by delivery #1, no matter how many drops preceded it.
         ring = RingConfiguration.oriented(["E", "R", "Q"])
-        result = run_asynchronous(
-            ring,
-            EmitRelayQuit,
-            scheduler=ReplayScheduler([1, 0]),
-            keep_log=True,
+        result, events = _recorded(
+            ring, EmitRelayQuit, scheduler=ReplayScheduler([1, 0])
         )
         assert result.outputs == ("E", "R", "Q")
-        pongs = [e for e in result.stats.log if e.payload == "pong"]
+        pongs = [e for e in events if e.kind == "send" and e.payload == "pong"]
         assert len(pongs) == 1
-        assert pongs[0].send_time == 1
+        assert pongs[0].etime == 1
         assert result.stats.delivered == 1
         assert result.stats.dropped == 2  # E→Q at start, R→Q pong
         # per-cycle histogram: start bucket + one bucket per delivery.
@@ -142,10 +147,10 @@ class TestRandomSchedulerSeed:
 
     def test_explicit_seed_reproducible_across_runs(self):
         ring = RingConfiguration.oriented(list(range(6)))
-        a = run_asynchronous(ring, PingOnce, scheduler=RandomScheduler(99), keep_log=True)
-        b = run_asynchronous(ring, PingOnce, scheduler=RandomScheduler(99), keep_log=True)
+        a, a_events = _recorded(ring, PingOnce, scheduler=RandomScheduler(99))
+        b, b_events = _recorded(ring, PingOnce, scheduler=RandomScheduler(99))
         assert a.outputs == b.outputs
-        assert a.stats.log == b.stats.log
+        assert a_events == b_events
 
     def test_bounded_delay_scheduler_exposes_seed(self):
         scheduler = BoundedDelayScheduler(bound=4)
@@ -263,10 +268,8 @@ class TestBoundedDelayScheduler:
 class TestAdversaryDefaults:
     def test_base_adversary_is_benign(self):
         ring = RingConfiguration.oriented([1, 2, 3, 4])
-        plain = run_asynchronous(ring, PingOnce, keep_log=True)
-        adversed = run_asynchronous(
-            ring, PingOnce, adversary=Adversary(), keep_log=True
-        )
+        plain, plain_events = _recorded(ring, PingOnce)
+        adversed, adversed_events = _recorded(ring, PingOnce, adversary=Adversary())
         assert plain.outputs == adversed.outputs
-        assert plain.stats.log == adversed.stats.log
+        assert plain_events == adversed_events
         assert adversed.stats.dropped == plain.stats.dropped

@@ -32,6 +32,7 @@ from repro.faults import (
     target_by_name,
 )
 from repro.faults.report import report_json
+from repro.obs import CLOCK_LAMPORT, EventRecorder
 from repro.__main__ import main
 
 
@@ -105,17 +106,19 @@ class TestPlantedBug:
         reference = run_asynchronous(config, Racy, scheduler=RoundRobinScheduler())
 
         def replay():
-            return run_asynchronous(
+            recorder = EventRecorder(clock=CLOCK_LAMPORT)
+            result = run_asynchronous(
                 config,
                 Racy,
                 scheduler=ReplayScheduler(trace.choices),
                 adversary=ReplayAdversary(trace.actions, trace.crashes),
-                keep_log=True,
+                recorder=recorder,
             )
+            return result, recorder.events
 
-        first, second = replay(), replay()
+        (first, first_events), (second, second_events) = replay(), replay()
         assert first.outputs == second.outputs
-        assert first.stats.log == second.stats.log
+        assert first_events == second_events
         assert first.stats.per_cycle == second.stats.per_cycle
         assert first.outputs != reference.outputs  # still the bug
 
@@ -198,14 +201,16 @@ class TestTraceRoundTrip:
     def test_empty_trace_replays_as_round_robin(self):
         target = target_by_name("and")
         config = target.make_config(4, random.Random(5))
+        a_events = EventRecorder(clock=CLOCK_LAMPORT)
+        b_events = EventRecorder(clock=CLOCK_LAMPORT)
         a = run_asynchronous(
-            config, target.factory, scheduler=ReplayScheduler(()), keep_log=True
+            config, target.factory, scheduler=ReplayScheduler(()), recorder=a_events
         )
         b = run_asynchronous(
-            config, target.factory, scheduler=RoundRobinScheduler(), keep_log=True
+            config, target.factory, scheduler=RoundRobinScheduler(), recorder=b_events
         )
         assert a.outputs == b.outputs
-        assert a.stats.log == b.stats.log
+        assert a_events.events == b_events.events
 
     def test_divergent_replay_raises(self):
         target = target_by_name("and")

@@ -3,19 +3,18 @@
 A :class:`RunSpec`'s cache key is ``sha256(code_version + structural
 digest)``; ``code_version`` rotates with every source edit by design, so
 the part of spec identity that must stay stable PR over PR is
-:meth:`RunSpec.structural_digest` — a pure function of the spec's
-canonical field serialization.  If any value below changes, every cache
-entry, recorded fuzz case, and cross-session artifact keyed by that spec
-shape is silently orphaned: that is a breaking change and must be
-deliberate (update the constant *and* say so in the PR).
+:meth:`RunSpec.structural_digest` — the SHA-256 of the spec's JSON wire
+form (:meth:`RunSpec.to_json_dict`, sorted keys, compact separators).
+If any value below changes, every cache entry, recorded fuzz case, and
+cross-session artifact keyed by that spec shape is silently orphaned:
+that is a breaking change and must be deliberate (update the constant
+*and* say so in the change log).
 
 The pinned set covers every engine (sync, sync-batch, async,
-async-synchronized) and every spec knob that feeds the digest: params,
-schedulers and seeds, fault profiles, wakeup schedules, budgets,
-keep_log/record, oriented and unoriented rings.  All specs here are
-static-ring — the shapes that existed before the topology layer — so
-this test is also the proof that adding ``topology``/``message_mode``
-did not move a single pre-existing cache slot.
+async-synchronized) and every spec field: params, schedulers and
+seeds, fault profiles, wakeup schedules, budgets, record, dynamic
+topologies, content-oblivious message mode, oriented and unoriented
+rings.
 """
 
 from __future__ import annotations
@@ -28,26 +27,28 @@ from repro.topology import TopologySpec
 
 #: (name -> structural digest) — update only on a deliberate format break.
 GOLDEN = {
-    "sync_and_sync": "f18b13016c0f86981fb45e5b1a5c7df7aaac901760cbed9f5017be4906566785",
-    "sync_and_batch": "586e53cad8a442039f3950d4050dfea1157d631667444f50e0c858a23d728fa5",
-    "sync_and_unoriented": "cb85f66a27eb80c07abb9c9f2b6bfb7b98666d9a1bea768dd68c55a0c0d9829e",
-    "fig2_sync": "fc9a461ea92383b76d9ef83b98e91eb2a2bba4bad7357ced315792e82096ba4c",
-    "fig2_batch": "0c0525fdce5f7838977068ab60d7931b4d973af0267caccdc65c95fae32b7a0c",
-    "fig2_uni_sync": "6a9193142612dee59e133f2eaec935d1295d8ef7d4af578dca6dbdfcf5ebf985",
-    "quasi_orientation_batch": "d53235c81b727526b284b3a3901671f09631f52babaf649218699e537de71190",
-    "start_sync_wakeup": "8dc9c792aba43fdd378784796ad9fc7bfd582c392d7839af02571471db07b4b1",
-    "start_sync_batch": "5f4d7bd3e7dea2cbddf6a1311cf459672a47f509d161254fa9d826a722d8e12c",
-    "chang_roberts_sync_batch": "61b81056d163f61e94cac8dedbb89dd222234516e41cab564780e92c4274649e",
-    "sync_and_record": "00de0014790cf96620d2ef7a3605d4989db387a0f53de5c82bb3a5a768467e42",
-    "sync_and_keep_log": "dbc9611bc6f6df770a12edadc81b3662ed5e938b95f896e1b72072f747ba0113",
-    "sync_and_budget": "c5b6ee0de3d10827656fe56f67f885d08085c0b9a2241fe67702a9f16d427628",
-    "async_input_distribution": "9563247036c7e0c9ffe15b749b2f50149d97689561ceaf769f711aba668d461d",
-    "async_input_distribution_oriented": "2d0219889908558d0cc09ea75916e23f9b677f6a40dfc5c1a1e8dca0c1913e4d",
-    "async_and_random_scheduler": "dfb27bab9ab024b6d061507edfaf76b61ec01adcb7aaff64b473e59d67f9ff5f",
-    "async_orientation": "6d39e56f40987e469705e16bcda49600d0bcd7af8cbb4e059e3fb2341e0b5d15",
-    "async_chang_roberts_faults": "d97108cd78682733c341d0720d434a6a600a55d35fa1582c44a3436a947dc00f",
-    "async_franklin": "6de9629c4c2a6a8ff508c80a1d6dfcc7c05449b8d13f80a8c9300615f3854fc9",
-    "async_synchronized": "fe295d8a5f6ace7ef5d9dfa0e5a3622b34415df56c58e2ef3dcea00bf9d5bae3",
+    "sync_and_sync": "ac6c37f996cdfc9349c53b90daf9e2623883c7b64373449a486810e236590a6c",
+    "sync_and_batch": "f19a0fde3ea6a22f8f2ffd97efd6c0d23f9ebea601f66ee002ae04a8112bf974",
+    "sync_and_unoriented": "d1c69ad67b152617db5ce0860ebe012803b544d55d16c4e8d7de6f2e3097c3c1",
+    "fig2_sync": "f9480a2ecb4bb0e22072d3c0f3995375adde3e5ab5ba132b5d5a12405e41897e",
+    "fig2_batch": "95d99df559856980b23d4d3dd150e8edc6d40bb8218092a23ba23cfc251da2bf",
+    "fig2_uni_sync": "f78f2fd00028206fb174a8d94f2cc6ddedb0f00d968a65ed7f980df2350c18f7",
+    "quasi_orientation_batch": "a3d21a29e1892b9a8ed1d10fe19357df4d4b1ced9fe4bde3fb4dc00197f9ec6d",
+    "start_sync_wakeup": "6d05621db65bcc9ce8ba626320358b5d561a1954b76bb2f4a046143123532be7",
+    "start_sync_batch": "a584f4aba5a09e638f5442b95ff63ccb7b0d908960226ec05e750ab672bf5eb7",
+    "chang_roberts_sync_batch": "b492790c197e0ebc5f4427df166acb16de8e7089e8200b78bdf5a04d6eb0e00c",
+    "sync_and_record": "5f78b2c4ac777bed8905a770b3e80a960c15909fe818db6b13070ced16e9813f",
+    "sync_and_budget": "8f2e304e3e7b648ae8123fa6da327afb0210a8a8160f4be08c3d960b8c26b2b3",
+    "async_input_distribution": "ffd829857cab9ba33d49fdeeb0403702f43e22c1c62be42b8ddc7eca5d8311b2",
+    "async_input_distribution_oriented": "b6dcd264607c38504e21427531f252bfdc1bded1bca49b49190bffdb474a1c86",
+    "async_and_random_scheduler": "5ca704dcd75e27fb3b81c27e37ff83921f529f99af66d14549a32bdbd56e9bf5",
+    "async_orientation": "965003984556feb303be12e8dc7c07869ce42a4a27abde840aac756be0f4b968",
+    "async_chang_roberts_faults": "eaa4e58d1a9b4e63dc52e28d5bad46f87a180ea517104ed2065ec957e0d24768",
+    "async_franklin": "68d5c30f40cf91d19d58d77532b4d1bd66069b2906c2e8912d600deca1dc889f",
+    "async_bounded_delay": "b8c86ec4a7efafe68c6ac15c34b223c32ff2fadc9526dbf7764533612e6d08ec",
+    "async_synchronized": "5daa8e0072f34c6cd85e33b3cd8260c93aa9006a75f879d26c4ab7589d629d70",
+    "dynamic_counting": "75cb2a4789796a84fb38dc5520c4ac7aeca1a7ef8a2c12b50173864bfa0970ee",
+    "oblivious_counting": "746d8cfed4ccb8c4b68f217630f43c96007408bf3246def79a419be87c770f2b",
 }
 
 
@@ -57,6 +58,10 @@ def _ring(n: int, seed: int = 0, oriented: bool = True) -> RingConfiguration:
 
 def _labeled(n: int) -> RingConfiguration:
     return RingConfiguration.oriented(tuple(range(1, n + 1)))
+
+
+def _leader(n: int) -> RingConfiguration:
+    return RingConfiguration.oriented((1,) + (0,) * (n - 1))
 
 
 def golden_specs() -> dict:
@@ -103,9 +108,6 @@ def golden_specs() -> dict:
         "sync_and_record": RunSpec.make(
             engine="sync", ring=_ring(8), algorithm="sync-and", record=True
         ),
-        "sync_and_keep_log": RunSpec.make(
-            engine="sync", ring=_ring(8), algorithm="sync-and", keep_log=True
-        ),
         "sync_and_budget": RunSpec.make(
             engine="sync", ring=_ring(8), algorithm="sync-and", budget=10_000
         ),
@@ -147,11 +149,31 @@ def golden_specs() -> dict:
         "async_franklin": RunSpec.make(
             engine="async", ring=_labeled(6), algorithm="franklin", scheduler="round-robin"
         ),
+        "async_bounded_delay": RunSpec.make(
+            engine="async",
+            ring=_ring(6, 7),
+            algorithm="input-distribution",
+            scheduler="bounded-delay",
+            scheduler_seed=5,
+            delay_bound=3,
+        ),
         "async_synchronized": RunSpec.make(
             engine="async-synchronized",
             ring=_ring(7, 4),
             algorithm="input-distribution",
             params={"assume_oriented": True},
+        ),
+        "dynamic_counting": RunSpec.make(
+            engine="sync",
+            ring=_leader(8),
+            algorithm="dynamic-counting",
+            topology=TopologySpec(kind="dynamic-ring", seed=7, churn=0.5, path_rate=0.3),
+        ),
+        "oblivious_counting": RunSpec.make(
+            engine="sync",
+            ring=_leader(8),
+            algorithm="oblivious-counting",
+            message_mode="oblivious",
         ),
     }
 
@@ -186,21 +208,18 @@ class TestGoldenDigests:
         assert spec.digest() == expected
 
 
-class TestTopologyFieldsAreDigestNeutral:
-    """The new fields must not perturb any pre-existing spec identity."""
+class TestDigestIsTheWireForm:
+    """The structural digest hashes the wire form and nothing else."""
 
-    def test_canonical_omits_defaults(self):
-        spec = golden_specs()["sync_and_sync"]
-        keys = {key for key, _ in spec.canonical()}
-        assert "topology" not in keys
-        assert "message_mode" not in keys
+    def test_digest_is_the_sorted_compact_json(self):
+        import hashlib
+        import json
 
-    def test_explicit_defaults_equal_omitted(self):
-        base = golden_specs()["sync_and_sync"]
-        explicit = base.with_(topology=None, message_mode="plain")
-        assert explicit.structural_digest() == base.structural_digest()
+        for spec in golden_specs().values():
+            text = json.dumps(spec.to_json_dict(), sort_keys=True, separators=(",", ":"))
+            assert spec.structural_digest() == hashlib.sha256(text.encode()).hexdigest()
 
-    def test_non_default_values_do_change_the_digest(self):
+    def test_non_default_values_change_the_digest(self):
         base = golden_specs()["sync_and_sync"]
         dynamic = base.with_(
             topology=TopologySpec(kind="dynamic-ring", seed=7, path_rate=0.3)

@@ -81,13 +81,17 @@ class TestComplexityContrast:
         from repro.algorithms.leader_election import Peterson
         from repro.asynch import run_asynchronous
         from repro.core import RIGHT
+        from repro.obs import CLOCK_LAMPORT, EventRecorder, envelopes_from_events
 
         for n in (8, 16, 32, 64):
             config = RingConfiguration.oriented(worst_case_labels(n))
-            result = run_asynchronous(config, Peterson, keep_log=True)
+            recorder = EventRecorder(clock=CLOCK_LAMPORT)
+            result = run_asynchronous(config, Peterson, recorder=recorder)
             assert result.unanimous_output() == n
             assert result.stats.messages <= 3 * n * (math.log2(n) + 3)
-            assert all(env.out_port is RIGHT for env in result.stats.log)
+            sends = envelopes_from_events(recorder.events)
+            assert len(sends) == result.stats.messages
+            assert all(env.out_port is RIGHT for env in sends)
 
     def test_hirschberg_sinclair_nlogn(self):
         import math

@@ -103,16 +103,18 @@ class TestAsyncTraces:
 
         from repro.algorithms.async_input_distribution import AsyncInputDistribution
         from repro.asynch import run_async_synchronized
+        from repro.obs import CLOCK_CYCLE, EventRecorder, envelopes_from_events
 
         n = 9
         config = RingConfiguration.oriented((1,) * n)
+        recorder = EventRecorder(clock=CLOCK_CYCLE)
         result = run_async_synchronized(
             config,
             lambda value, size: AsyncInputDistribution(value, size),
-            keep_log=True,
+            recorder=recorder,
         )
         per_cycle_dir = Counter()
-        for env in result.stats.log:
+        for env in envelopes_from_events(recorder.events):
             _recv, _port, step = config.route(env.sender, env.out_port)
             per_cycle_dir[(env.send_time, step)] += 1
         assert all(count >= n for count in per_cycle_dir.values())

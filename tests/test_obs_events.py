@@ -164,7 +164,6 @@ class TestSyncEngineRecording:
             engine="sync",
             ring=oriented_ring((0, 1, 1, 1, 1)),
             algorithm="sync-and",
-            keep_log=True,
         )
         result, events = recorded(spec)
         assert_reconciled(events, result.stats, engine="sync")
@@ -182,7 +181,6 @@ class TestSyncEngineRecording:
             engine="sync",
             ring=oriented_ring((1, 0, 1, 1, 0, 1)),
             algorithm="fig2-input-distribution",
-            keep_log=True,
         )
         plain = execute(spec)
         traced = execute(spec.with_(record=True))
@@ -190,7 +188,7 @@ class TestSyncEngineRecording:
         assert plain.stats.messages == traced.stats.messages
         assert plain.stats.bits == traced.stats.bits
         assert plain.stats.per_cycle == traced.stats.per_cycle
-        assert plain.stats.log == traced.stats.log
+        assert plain.halt_times == traced.halt_times
         assert plain.events is None and traced.events is not None
 
     def test_sync_drops_to_halted_processors_are_events(self):
@@ -360,13 +358,15 @@ class TestAsyncEngineRecording:
         assert all(e.time == e.etime for e in events if e.kind == "send")
 
     def test_recording_does_not_perturb_async_run(self):
-        spec = self._spec(scheduler="random", scheduler_seed=9, keep_log=True)
+        spec = self._spec(scheduler="random", scheduler_seed=9)
         plain = execute(spec)
         traced = execute(spec.with_(record=True))
         assert plain.outputs == traced.outputs
         assert plain.stats.messages == traced.stats.messages
+        assert plain.stats.bits == traced.stats.bits
+        assert plain.stats.per_cycle == traced.stats.per_cycle
         assert plain.stats.delivered == traced.stats.delivered
-        assert plain.stats.log == traced.stats.log
+        assert plain.stats.dropped == traced.stats.dropped
 
 
 class TestResultSize:

@@ -47,7 +47,6 @@ def sync_and_spec(n: int = 6) -> RunSpec:
         engine="sync",
         ring=RingConfiguration.oriented((0,) + (1,) * (n - 1)),
         algorithm="sync-and",
-        keep_log=True,
     )
 
 
@@ -230,7 +229,6 @@ class TestReconstruction:
         assert rebuilt.stats.messages == result.stats.messages
         assert rebuilt.stats.bits == result.stats.bits
         assert rebuilt.stats.per_cycle == result.stats.per_cycle
-        assert rebuilt.stats.log == result.stats.log
 
     def test_rebuilt_result_drives_the_diagram(self):
         spec = sync_and_spec()

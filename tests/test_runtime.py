@@ -137,15 +137,15 @@ class TestDigest:
             _spec(params={"assume_oriented": True}),
             _spec(scheduler="greedy"),
             _spec(budget=10_000),
-            _spec(keep_log=True),
+            _spec(record=True),
             RunSpec.make(engine="async-synchronized", ring=_ring(),
                          algorithm="input-distribution"),
         ]
         digests = {base.digest()} | {v.digest() for v in variants}
         assert len(digests) == len(variants) + 1
 
-    def test_canonical_has_no_volatile_fields(self):
-        names = [name for name, _ in _spec().canonical()]
+    def test_wire_form_has_no_volatile_fields(self):
+        names = list(_spec().to_json_dict())
         for volatile in ("timestamp", "time", "git", "host", "pid"):
             assert not any(volatile in name for name in names)
 
@@ -291,9 +291,9 @@ class TestResultCache:
         spec = _spec(ring=_ring(5, 5, oriented=False))
         first = Runner(cache=ResultCache(tmp_path))
         second = Runner(cache=ResultCache(tmp_path))
-        results_a = first.run_specs([spec, spec.with_(keep_log=True)])
+        results_a = first.run_specs([spec, spec.with_(record=True)])
         assert first.executed == 2
-        results_b = second.run_specs([spec, spec.with_(keep_log=True)])
+        results_b = second.run_specs([spec, spec.with_(record=True)])
         assert second.executed == 0
         assert second.cache.hits == 2
         assert [pickle.dumps(r) for r in results_a] == [

@@ -14,12 +14,76 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.asynch.adversary import FAULT_PROFILES
 from repro.core import RingConfiguration
 from repro.core.errors import ConfigurationError
 from repro.runtime import RunSpec
+from repro.runtime.spec import ENGINES, MESSAGE_MODES, SCHEDULERS, SYNC_ENGINES
+from repro.topology import TopologySpec
 
 RING = RingConfiguration.oriented((1, 0, 1, 1, 0))
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**40), 2**40),
+    st.floats(allow_nan=False),
+    st.text(max_size=3),
+)
+_VALUES = st.recursive(_SCALARS, lambda inner: st.tuples(inner, inner), max_leaves=4)
+#: ``churn``/``path_rate`` as ints or floats: ``1`` and ``1.0`` build one spec.
+_UNIT = st.one_of(st.sampled_from((0, 1)), st.floats(0.0, 1.0))
+
+
+@st.composite
+def specs(draw) -> RunSpec:
+    """Any valid spec, of any engine, with every knob it admits."""
+    n = draw(st.integers(1, 5))
+    ring = RingConfiguration(
+        tuple(draw(st.lists(_VALUES, min_size=n, max_size=n))),
+        tuple(draw(st.lists(st.sampled_from((0, 1)), min_size=n, max_size=n))),
+    )
+    engine = draw(st.sampled_from(ENGINES))
+    optional_int = st.none() | st.integers(0, 2**31)
+    knobs = dict(
+        params=draw(st.dictionaries(st.text(min_size=1, max_size=3), _VALUES, max_size=3)),
+        budget=draw(optional_int),
+    )
+    if engine == "async":
+        scheduler = draw(st.sampled_from((None,) + SCHEDULERS))
+        knobs["scheduler"] = scheduler
+        if scheduler in ("random", "bounded-delay"):
+            knobs["scheduler_seed"] = draw(st.integers(0, 2**31))
+        if scheduler == "bounded-delay":
+            knobs["delay_bound"] = draw(st.integers(1, 32))
+        profile = draw(st.none() | st.sampled_from(sorted(FAULT_PROFILES)))
+        if profile is not None:
+            knobs["fault_profile"] = profile
+            knobs["fault_seed"] = draw(st.integers(0, 2**31))
+            knobs["fault_horizon"] = draw(optional_int)
+    if engine in SYNC_ENGINES:
+        knobs["wakeup"] = draw(
+            st.none() | st.lists(st.integers(0, 9), min_size=n, max_size=n).map(tuple)
+        )
+    if engine != "sync-batch":
+        knobs["record"] = draw(st.booleans())
+        knobs["message_mode"] = draw(st.sampled_from(MESSAGE_MODES))
+    if engine == "sync":
+        knobs["topology"] = draw(
+            st.none()
+            | st.builds(
+                TopologySpec,
+                kind=st.just("dynamic-ring"),
+                seed=st.integers(0, 2**31),
+                churn=_UNIT.filter(lambda churn: churn > 0),
+                path_rate=_UNIT,
+            )
+        )
+    algorithm = "sync-and" if engine in SYNC_ENGINES else "input-distribution"
+    return RunSpec.make(engine=engine, ring=ring, algorithm=algorithm, **knobs)
 
 
 def _roundtrip(spec: RunSpec) -> RunSpec:
@@ -42,7 +106,6 @@ class TestRoundTrip:
             params={"threshold": 2, "label": "x", "ratio": 0.5, "flag": True},
             wakeup=(0, 2, 1, 0, 3),
             budget=10_000,
-            keep_log=True,
             record=True,
         )
         clone = _roundtrip(spec)
@@ -101,6 +164,29 @@ class TestRoundTrip:
         assert '"__t__"' in text  # tuples travel tagged, not as bare lists
 
 
+class TestRoundTripProperty:
+    """Equal specs write one wire form, so they get one digest on both
+    sides of the gateway."""
+
+    @given(specs())
+    @settings(max_examples=200, deadline=None)
+    def test_every_spec_keeps_equality_and_digest(self, spec):
+        clone = _roundtrip(spec)
+        assert clone == spec
+        assert clone.to_json_dict() == spec.to_json_dict()
+        assert clone.structural_digest() == spec.structural_digest()
+
+    def test_int_churn_is_the_float_spec(self):
+        as_ints = TopologySpec(kind="dynamic-ring", seed=3, churn=1, path_rate=0)
+        as_floats = TopologySpec(kind="dynamic-ring", seed=3, churn=1.0, path_rate=0.0)
+        spec = RunSpec.make(
+            engine="sync", ring=RING, algorithm="dynamic-counting", topology=as_ints
+        )
+        assert spec == spec.with_(topology=as_floats)
+        assert spec.digest() == spec.with_(topology=as_floats).digest()
+        assert _roundtrip(spec).digest() == spec.digest()
+
+
 class TestEncodeRejections:
     def test_non_transportable_param_value(self):
         spec = RunSpec.make(
@@ -148,6 +234,21 @@ class TestDecodeRejections:
         with pytest.raises(ConfigurationError, match="'ring'"):
             RunSpec.from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "ring",
+        [
+            {"inputs": [1, 0], "orientations": ["x", 1]},
+            {"inputs": 5, "orientations": [1]},
+            {"inputs": [1], "orientations": None},
+        ],
+    )
+    def test_ring_of_the_wrong_shape_is_a_configuration_error(self, ring):
+        """Not a ``ValueError``/``TypeError``: the gateway answers 400, not 500."""
+        data = self._base()
+        data["ring"] = ring
+        with pytest.raises(ConfigurationError, match="'ring'"):
+            RunSpec.from_json_dict(data)
+
     def test_malformed_params(self):
         data = self._base()
         data["params"] = [["key"]]  # not a pair
@@ -166,3 +267,80 @@ class TestDecodeRejections:
         data["params"] = [["shape", {"__t__": "set", "v": [1]}]]
         with pytest.raises(ConfigurationError, match="undecodable"):
             RunSpec.from_json_dict(data)
+
+
+class TestExactTypes:
+    """A knob equal to its int twin but of another type would write
+    another wire form, and so another digest: it is refused, in the
+    constructor and on the wire (the gateway answers 400)."""
+
+    def _wire(self, **fields):
+        data = RunSpec.make(
+            engine="async",
+            ring=RING,
+            algorithm="input-distribution",
+            scheduler="random",
+            scheduler_seed=1,
+        ).to_json_dict()
+        data.update(fields)
+        return data
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("budget", 100.0),
+            ("budget", True),
+            ("scheduler_seed", True),
+            ("scheduler_seed", 1.0),
+            ("fault_seed", True),
+            ("delay_bound", 8.0),
+        ],
+    )
+    def test_non_int_knob_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be an int"):
+            RunSpec.from_json_dict(self._wire(**{field: value}))
+
+    def test_non_int_knob_rejected_by_the_constructor(self):
+        with pytest.raises(ConfigurationError, match="budget must be an int"):
+            RunSpec.make(engine="sync", ring=RING, algorithm="sync-and", budget=100.0)
+        with pytest.raises(ConfigurationError, match="fault_horizon must be an int"):
+            RunSpec.make(
+                engine="async",
+                ring=RING,
+                algorithm="input-distribution",
+                fault_profile="crash",
+                fault_seed=1,
+                fault_horizon=True,
+            )
+
+    def test_string_record_rejected(self):
+        """``"false"`` is not ``false``: no ``bool()`` coercion."""
+        with pytest.raises(ConfigurationError, match="record must be a bool"):
+            RunSpec.from_json_dict(self._wire(record="false"))
+        with pytest.raises(ConfigurationError, match="record must be a bool"):
+            RunSpec.from_json_dict(self._wire(record=1))
+
+    @pytest.mark.parametrize("wakeup", [[0, 1.0, 0, 0, 0], [0, "1", 0, 0, 0], [0, True, 0, 0, 0]])
+    def test_non_int_wakeup_rejected(self, wakeup):
+        data = RunSpec.make(engine="sync", ring=RING, algorithm="sync-and").to_json_dict()
+        data["wakeup"] = wakeup
+        with pytest.raises(ConfigurationError, match="wakeup"):
+            RunSpec.from_json_dict(data)
+
+    def test_non_number_churn_rejected(self):
+        data = RunSpec.make(
+            engine="sync",
+            ring=RING,
+            algorithm="dynamic-counting",
+            topology=TopologySpec(kind="dynamic-ring", seed=3),
+        ).to_json_dict()
+        data["topology"]["churn"] = "1"
+        with pytest.raises(ConfigurationError, match="churn must be a number"):
+            RunSpec.from_json_dict(data)
+        data["topology"]["churn"] = True
+        with pytest.raises(ConfigurationError, match="churn must be a number"):
+            RunSpec.from_json_dict(data)
+
+    def test_keep_log_key_is_an_unknown_field(self):
+        with pytest.raises(ConfigurationError, match=r"unknown RunSpec fields \['keep_log'\]"):
+            RunSpec.from_json_dict(self._wire(keep_log=True))

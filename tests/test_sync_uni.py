@@ -65,16 +65,19 @@ class TestOneSidedness:
 
         config = RingConfiguration.random(16, random.Random(5), oriented=True)
         result = distribute_inputs_sync_uni(config)
-        # rerun with a log to inspect ports
+        # rerun recorded to inspect ports
         from repro.sync import run_synchronous
         from repro.algorithms.sync_input_distribution_uni import (
             SyncInputDistributionUni,
         )
+        from repro.obs import CLOCK_CYCLE, EventRecorder, envelopes_from_events
 
-        logged = run_synchronous(config, SyncInputDistributionUni, keep_log=True)
-        assert logged.stats.log, "expected a nonempty log"
-        assert all(env.out_port is RIGHT for env in logged.stats.log)
-        assert logged.stats.messages == result.stats.messages
+        recorder = EventRecorder(clock=CLOCK_CYCLE)
+        recorded = run_synchronous(config, SyncInputDistributionUni, recorder=recorder)
+        sends = envelopes_from_events(recorder.events)
+        assert sends, "expected nonempty traffic"
+        assert all(env.out_port is RIGHT for env in sends)
+        assert recorded.stats.messages == result.stats.messages == len(sends)
 
 
 class TestComplexity:

@@ -1,19 +1,20 @@
-"""Optimized engines vs. reference engines: byte-identical traces.
+"""Optimized engines vs. reference engines: identical traces.
 
 The engines in ``repro.asynch.simulator`` / ``repro.sync.simulator`` keep
 incremental structures (sorted pending list, live halt counter, reused
 buffers) purely for speed; ``tests/reference_engines.py`` holds the
 obviously-correct seed-style implementations of the same semantics.  On
 randomized rings, schedules and wake-up times the two must agree on
-*everything*: outputs, message and bit totals, per-cycle histograms, the
-full envelope log, and even the exception raised on deadlock.
+*everything*: outputs, message and bit totals, per-cycle histograms, every
+send — sender, receiver, both ports, payload, engine time and order, read
+back from the optimized engine's recorded event stream — and even the
+exception raised on deadlock.
 """
 
 from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +28,7 @@ from repro.asynch.schedulers import (
     RoundRobinScheduler,
 )
 from repro.core import LEFT, RIGHT, RingConfiguration
+from repro.obs import CLOCK_CYCLE, CLOCK_LAMPORT, EventRecorder, envelopes_from_events
 from repro.sync import Out, SyncProcess, WakeupSchedule, run_synchronous
 
 from reference_engines import (
@@ -44,8 +46,17 @@ def outcome(run):
         return ("error", type(error).__name__, str(error))
 
 
-def assert_equivalent(got, want):
-    """Optimized and reference outcomes must match in every observable."""
+def assert_equivalent(engine_run, reference_run, clock=CLOCK_CYCLE):
+    """Run the optimized engine (recorded) and the reference engine; they
+    must match in every observable.
+
+    ``engine_run`` takes the recorder to run under, ``reference_run`` the
+    list its sends go to.
+    """
+    recorder = EventRecorder(clock=clock)
+    sends = []
+    got = outcome(lambda: engine_run(recorder))
+    want = outcome(lambda: reference_run(sends))
     assert got[0] == want[0], f"outcome kinds differ: {got[0]} vs {want[0]}"
     if got[0] == "error":
         assert got[1:] == want[1:]
@@ -60,7 +71,7 @@ def assert_equivalent(got, want):
     assert a.stats.delivered == b.stats.delivered
     assert a.stats.dropped == b.stats.dropped
     assert a.stats.duplicated == b.stats.duplicated
-    assert a.stats.log == b.stats.log  # byte-identical envelope sequence
+    assert envelopes_from_events(recorder.events) == sends  # every send, in order
 
 
 class Chatter(AsyncProcess):
@@ -109,17 +120,15 @@ class TestAsyncGeneral:
     def test_input_distribution(self, n, seed, scheduler_name):
         config = RingConfiguration.random(n, random.Random(seed))
         make = _SCHEDULERS[scheduler_name]
-        got = outcome(
-            lambda: run_asynchronous(
-                config, AsyncInputDistribution, scheduler=make(), keep_log=True
-            )
+        assert_equivalent(
+            lambda recorder: run_asynchronous(
+                config, AsyncInputDistribution, scheduler=make(), recorder=recorder
+            ),
+            lambda sends: run_asynchronous_reference(
+                config, AsyncInputDistribution, scheduler=make(), sends=sends
+            ),
+            CLOCK_LAMPORT,
         )
-        want = outcome(
-            lambda: run_asynchronous_reference(
-                config, AsyncInputDistribution, scheduler=make(), keep_log=True
-            )
-        )
-        assert_equivalent(got, want)
 
     @given(
         st.integers(1, 9),
@@ -132,15 +141,15 @@ class TestAsyncGeneral:
             n, random.Random(seed), input_values=range(16)
         )
         make = _SCHEDULERS[scheduler_name]
-        got = outcome(
-            lambda: run_asynchronous(config, Chatter, scheduler=make(), keep_log=True)
+        assert_equivalent(
+            lambda recorder: run_asynchronous(
+                config, Chatter, scheduler=make(), recorder=recorder
+            ),
+            lambda sends: run_asynchronous_reference(
+                config, Chatter, scheduler=make(), sends=sends
+            ),
+            CLOCK_LAMPORT,
         )
-        want = outcome(
-            lambda: run_asynchronous_reference(
-                config, Chatter, scheduler=make(), keep_log=True
-            )
-        )
-        assert_equivalent(got, want)
 
 
 class TestAsyncSynchronized:
@@ -148,17 +157,14 @@ class TestAsyncSynchronized:
     @settings(max_examples=25, deadline=None)
     def test_input_distribution(self, n, seed):
         config = RingConfiguration.random(n, random.Random(seed))
-        got = outcome(
-            lambda: run_async_synchronized(
-                config, AsyncInputDistribution, keep_log=True
-            )
+        assert_equivalent(
+            lambda recorder: run_async_synchronized(
+                config, AsyncInputDistribution, recorder=recorder
+            ),
+            lambda sends: run_async_synchronized_reference(
+                config, AsyncInputDistribution, sends=sends
+            ),
         )
-        want = outcome(
-            lambda: run_async_synchronized_reference(
-                config, AsyncInputDistribution, keep_log=True
-            )
-        )
-        assert_equivalent(got, want)
 
     @given(st.integers(1, 9), st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -166,13 +172,10 @@ class TestAsyncSynchronized:
         config = RingConfiguration.random(
             n, random.Random(seed), input_values=range(16)
         )
-        got = outcome(
-            lambda: run_async_synchronized(config, Chatter, keep_log=True)
+        assert_equivalent(
+            lambda recorder: run_async_synchronized(config, Chatter, recorder=recorder),
+            lambda sends: run_async_synchronized_reference(config, Chatter, sends=sends),
         )
-        want = outcome(
-            lambda: run_async_synchronized_reference(config, Chatter, keep_log=True)
-        )
-        assert_equivalent(got, want)
 
 
 class WakeProbe(SyncProcess):
@@ -211,25 +214,23 @@ class TestSynchronous:
     @settings(max_examples=30, deadline=None)
     def test_sync_and(self, n, seed):
         config = RingConfiguration.random(n, random.Random(seed), oriented=True)
-        got = outcome(lambda: run_synchronous(config, SyncAnd, keep_log=True))
-        want = outcome(
-            lambda: run_synchronous_reference(config, SyncAnd, keep_log=True)
+        assert_equivalent(
+            lambda recorder: run_synchronous(config, SyncAnd, recorder=recorder),
+            lambda sends: run_synchronous_reference(config, SyncAnd, sends=sends),
         )
-        assert_equivalent(got, want)
 
     @given(st.integers(2, 9), st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
     def test_input_distribution(self, n, seed):
         config = RingConfiguration.random(n, random.Random(seed), oriented=True)
-        got = outcome(
-            lambda: run_synchronous(config, SyncInputDistribution, keep_log=True)
+        assert_equivalent(
+            lambda recorder: run_synchronous(
+                config, SyncInputDistribution, recorder=recorder
+            ),
+            lambda sends: run_synchronous_reference(
+                config, SyncInputDistribution, sends=sends
+            ),
         )
-        want = outcome(
-            lambda: run_synchronous_reference(
-                config, SyncInputDistribution, keep_log=True
-            )
-        )
-        assert_equivalent(got, want)
 
     @given(st.integers(2, 10), st.integers(0, 10_000), st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -238,15 +239,14 @@ class TestSynchronous:
             n, random.Random(seed), input_values=range(8)
         )
         schedule = _random_schedule(n, wake_seed)
-        got = outcome(
-            lambda: run_synchronous(config, WakeProbe, wakeup=schedule, keep_log=True)
+        assert_equivalent(
+            lambda recorder: run_synchronous(
+                config, WakeProbe, wakeup=schedule, recorder=recorder
+            ),
+            lambda sends: run_synchronous_reference(
+                config, WakeProbe, wakeup=schedule, sends=sends
+            ),
         )
-        want = outcome(
-            lambda: run_synchronous_reference(
-                config, WakeProbe, wakeup=schedule, keep_log=True
-            )
-        )
-        assert_equivalent(got, want)
 
     @given(st.integers(2, 9), st.integers(0, 10_000), st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -255,15 +255,14 @@ class TestSynchronous:
             n, random.Random(seed), input_values=range(6)
         )
         schedule = _random_schedule(n, wake_seed)
-        got = outcome(
-            lambda: run_synchronous(config, IdleProbe, wakeup=schedule, keep_log=True)
+        assert_equivalent(
+            lambda recorder: run_synchronous(
+                config, IdleProbe, wakeup=schedule, recorder=recorder
+            ),
+            lambda sends: run_synchronous_reference(
+                config, IdleProbe, wakeup=schedule, sends=sends
+            ),
         )
-        want = outcome(
-            lambda: run_synchronous_reference(
-                config, IdleProbe, wakeup=schedule, keep_log=True
-            )
-        )
-        assert_equivalent(got, want)
 
     def test_one_processor_ring(self):
         class SelfTalk(SyncProcess):
@@ -272,8 +271,7 @@ class TestSynchronous:
                 return (received.left, received.right)
 
         config = RingConfiguration.oriented([0])
-        got = outcome(lambda: run_synchronous(config, SelfTalk, keep_log=True))
-        want = outcome(
-            lambda: run_synchronous_reference(config, SelfTalk, keep_log=True)
+        assert_equivalent(
+            lambda recorder: run_synchronous(config, SelfTalk, recorder=recorder),
+            lambda sends: run_synchronous_reference(config, SelfTalk, sends=sends),
         )
-        assert_equivalent(got, want)

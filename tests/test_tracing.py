@@ -4,74 +4,31 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import (
-    Envelope,
-    LEFT,
-    OutputDisagreement,
-    RIGHT,
-    RunResult,
-    SimulationError,
-    TraceStats,
-)
-
-
-def env(cycle: int, payload="0") -> Envelope:
-    return Envelope(0, 1, LEFT, RIGHT, payload, cycle)
+from repro.core import OutputDisagreement, RunResult, SimulationError, TraceStats
 
 
 class TestTraceStats:
     def test_record(self):
         stats = TraceStats()
-        stats.record(env(0))
-        stats.record(env(0))
-        stats.record(env(2))
+        stats.record_send(1, 0)
+        stats.record_send(4, 0)
+        stats.record_send(1, 2)
         assert stats.messages == 3
-        assert stats.bits == 3
+        assert stats.bits == 6
         assert stats.per_cycle == {0: 2, 2: 1}
 
     def test_active_cycles(self):
         stats = TraceStats()
         for cycle in (0, 0, 3, 7):
-            stats.record(env(cycle))
+            stats.record_send(1, cycle)
         assert stats.active_cycles == 3
         assert stats.messages_at(0) == 2
         assert stats.messages_at(1) == 0
 
-    def test_log_disabled_by_default(self):
-        stats = TraceStats()
-        stats.record(env(0))
-        assert stats.log == []
 
-    def test_log_enabled(self):
-        stats = TraceStats(keep_log=True)
-        stats.record(env(0))
-        assert len(stats.log) == 1
-
-    def test_merge(self):
-        a, b = TraceStats(), TraceStats()
-        a.record(env(0))
-        b.record(env(0, "0000"))
-        b.record(env(1))
-        merged = a.merge(b)
-        assert merged.messages == 3
-        assert merged.bits == 6
-        assert merged.per_cycle == {0: 2, 1: 1}
-
-    def test_record_send_matches_record(self):
-        """The engines' fast path accumulates identical totals."""
-        slow, fast = TraceStats(), TraceStats()
-        for cycle, payload in ((0, "0"), (0, "0000"), (3, "01")):
-            envelope = env(cycle, payload)
-            slow.record(envelope)
-            fast.record_send(envelope.bits, envelope.send_time)
-        assert fast.messages == slow.messages
-        assert fast.bits == slow.bits
-        assert fast.per_cycle == slow.per_cycle
-
-
-class TestLoggedUnloggedParity:
-    """Regression: ``record`` delegates to ``record_send``, so a logged
-    run and an unlogged run of the same spec agree on every counter."""
+class TestRecordParity:
+    """A recorded run and an unrecorded run of the same spec agree on
+    every counter, and the stream holds one ``send`` event per message."""
 
     @pytest.mark.parametrize(
         "engine,algorithm,scheduler",
@@ -80,28 +37,24 @@ class TestLoggedUnloggedParity:
             ("async", "input-distribution", "round-robin"),
             ("async-synchronized", "input-distribution", None),
         ],
+        ids=["sync", "async", "async-synchronized"],
     )
-    def test_keep_log_does_not_change_counters(self, engine, algorithm, scheduler):
+    def test_record_keeps_counters(self, engine, algorithm, scheduler):
+        import random
+
         from repro.core import RingConfiguration
         from repro.runtime import RunSpec, execute
-
-        import random
 
         ring = RingConfiguration.random(9, random.Random(7), oriented=True)
         spec = RunSpec.make(
             engine=engine, ring=ring, algorithm=algorithm, scheduler=scheduler
         )
         bare = execute(spec)
-        logged = execute(spec.with_(keep_log=True))
-        assert logged.outputs == bare.outputs
-        assert logged.stats.messages == bare.stats.messages
-        assert logged.stats.bits == bare.stats.bits
-        assert logged.stats.per_cycle == bare.stats.per_cycle
-        assert logged.stats.delivered == bare.stats.delivered
-        assert logged.stats.dropped == bare.stats.dropped
-        assert logged.stats.duplicated == bare.stats.duplicated
-        assert len(logged.stats.log) == logged.stats.messages
-        assert bare.stats.log == []
+        recorded = execute(spec.with_(record=True))
+        assert recorded.outputs == bare.outputs
+        assert recorded.stats == bare.stats
+        assert sum(e.kind == "send" for e in recorded.events) == bare.stats.messages
+        assert bare.events is None
 
 
 class TestRunResult:
