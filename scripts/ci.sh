@@ -84,7 +84,8 @@ python -m pytest benchmarks/test_bench_obs.py -q
 
 echo "== trace smoke (event stream reconciles with TraceStats) =="
 # The sync-and line and the faulted line also draw the space-time
-# diagram from the stream's send events, with its ! and + fault marks.
+# diagram from the stream's send events, with its ! (dropped delivery)
+# and + (duplicate) marks: sync-and drops sends at halted receivers.
 python -m repro trace sync-and --n 6 --out TRACE_smoke.json
 python -m repro trace input-distribution --n 5 --out TRACE_smoke.json \
     --metrics TRACE_smoke_metrics.json --no-diagram

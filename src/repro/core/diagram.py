@@ -10,14 +10,18 @@ any run executed with ``record=True`` can be drawn after the fact.
     result = execute(RunSpec.make("sync", ring, "sync-and", record=True))
     print(space_time_diagram(ring, result))
 
-Faults show up too: ``!`` marks a dropped delivery and ``+`` a
-duplicated message, both drawn at the *receiver's* column on the
-engine-time row — so a ``drop``/``dup`` fault profile's footprint is
-visible at a glance, distinct from ordinary sends.
+Lost and copied deliveries show up too: ``!`` marks a dropped delivery
+and ``+`` a duplicated message, both drawn at the *receiver's* column on
+the engine-time row.  A drop is any delivery that went nowhere, as
+``TraceStats.dropped`` counts it: a ``drop`` fault profile's loss, or a
+message that reached a processor which had already halted or crashed —
+so a fault-free run whose processors halt at different cycles shows
+``!`` too.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .message import Port
@@ -122,12 +126,20 @@ def space_time_diagram(
 def message_density(result: RunResult, buckets: int = 10) -> str:
     """A one-line sparkline of messages per cycle — where the traffic is.
 
-    Runs that saw faults carry them in the tail: `` (D dropped, K
-    duplicated)`` is appended whenever either counter is nonzero, so a
-    dense-looking trace can't silently hide lost messages.
+    Runs that lost or copied deliveries carry them in the tail:
+    ``(D dropped, K duplicated)`` is appended whenever either count is
+    nonzero, so a dense-looking trace can't silently hide lost messages.
+    A recorded run's counts come from its stream, so they match the
+    ``!``/``+`` marks of :func:`space_time_diagram`; the synchronous
+    engine's counters track sends only, so an unrecorded synchronous
+    run shows no drops.
     """
     if not result.stats.per_cycle:
         return "(no messages)"
+    dropped, duplicated = result.stats.dropped, result.stats.duplicated
+    if result.events is not None:
+        kinds = Counter(event.kind for event in result.events)
+        dropped, duplicated = kinds["drop"], kinds["duplicate"]
     last = max(result.stats.per_cycle)
     ticks = " ▁▂▃▄▅▆▇█"
     counts = [0.0] * buckets
@@ -135,9 +147,6 @@ def message_density(result: RunResult, buckets: int = 10) -> str:
         counts[min(buckets - 1, cycle * buckets // (last + 1))] += count
     peak = max(counts) or 1.0
     line = "".join(ticks[int(c / peak * (len(ticks) - 1))] for c in counts)
-    if result.stats.dropped or result.stats.duplicated:
-        line += (
-            f" ({result.stats.dropped} dropped, "
-            f"{result.stats.duplicated} duplicated)"
-        )
+    if dropped or duplicated:
+        line += f" ({dropped} dropped, {duplicated} duplicated)"
     return line

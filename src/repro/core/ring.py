@@ -34,7 +34,10 @@ class RingConfiguration:
 
     Attributes:
         inputs: ``I(i)`` for each processor, any hashable values.
-        orientations: ``D(i) ∈ {0, 1}`` for each processor.
+        orientations: ``D(i) ∈ {0, 1}`` for each processor, as the ints
+            ``0`` and ``1``: ``True`` or ``1.0`` would build a ring equal
+            to its int twin whose JSON wire form, and so whose run-spec
+            digest, differs.
     """
 
     inputs: Tuple[Any, ...]
@@ -47,8 +50,11 @@ class RingConfiguration:
             )
         if not self.inputs:
             raise ConfigurationError("a ring needs at least one processor")
-        if any(bit not in (0, 1) for bit in self.orientations):
-            raise ConfigurationError("orientation bits must be 0 or 1")
+        for bit in self.orientations:
+            if type(bit) is not int or bit not in (0, 1):
+                raise ConfigurationError(
+                    f"orientation bits must be the ints 0 or 1, got {bit!r}"
+                )
 
     # ------------------------------------------------------------------
     # Constructors

@@ -71,7 +71,7 @@ from .registry import (
 from .trace import RecordingScheduler, ReplayScheduler, ScheduleTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs.events import Recorder
+    from ..obs.events import EventLog, Recorder
 
 _SEED_SPAN = 2**63
 
@@ -172,25 +172,6 @@ def _replay(
     return _execute(config, target, scheduler, adversary, recorder=recorder)
 
 
-def _witness_events(
-    config: RingConfiguration, target: FuzzTarget, trace: ScheduleTrace
-) -> List[Dict[str, Any]]:
-    """The minimized witness's :mod:`repro.obs` event stream, as JSON rows.
-
-    Replays the witness once more with an :class:`EventRecorder` attached
-    so the violation record carries a message-level account of the
-    failure (what was sent, dropped, duplicated, delivered — and in what
-    order) ready for ``repro.obs.export`` tooling.  A replay that dies
-    mid-run still yields the prefix recorded up to the failure.
-    """
-    from ..obs.events import CLOCK_LAMPORT, EventRecorder
-    from ..obs.export import event_to_json
-
-    recorder = EventRecorder(clock=CLOCK_LAMPORT)
-    _replay(config, target, trace, recorder=recorder)
-    return [event_to_json(event) for event in recorder.events]
-
-
 def shrink_trace(
     config: RingConfiguration,
     target: FuzzTarget,
@@ -237,28 +218,33 @@ def _certify_replay(
     reference: RunResult,
     strict: bool,
     kind: str,
-) -> bool:
+) -> Tuple[bool, "EventLog"]:
     """Replay the minimized witness twice; both runs, and their recorded
-    event streams, must match exactly."""
+    event streams, must match exactly.
+
+    Returns whether they did, and the first replay's :mod:`repro.obs`
+    event stream: the witness's message-level account (what was sent,
+    dropped, duplicated, delivered — and in what order).  A replay that
+    dies mid-run still yields the prefix recorded up to the failure.
+    """
     from ..obs.events import CLOCK_LAMPORT, EventRecorder
 
     recorders = (EventRecorder(clock=CLOCK_LAMPORT), EventRecorder(clock=CLOCK_LAMPORT))
     first = _replay(config, target, trace, recorder=recorders[0])
     second = _replay(config, target, trace, recorder=recorders[1])
+    events = recorders[0].events
     for result, error in (first, second):
         violation = _classify(result, error, reference, strict)
         if violation is None or violation.kind != kind:
-            return False
+            return False, events
     a, b = first[0], second[0]
     if (a is None) != (b is None):
-        return False
+        return False, events
     if a is None or b is None:
-        return repr(first[1]) == repr(second[1])
+        return repr(first[1]) == repr(second[1]), events
     return (
-        a.outputs == b.outputs
-        and a.stats == b.stats
-        and recorders[0].events == recorders[1].events
-    )
+        a.outputs == b.outputs and a.stats == b.stats and events == recorders[1].events
+    ), events
 
 
 # ----------------------------------------------------------------------
@@ -321,9 +307,13 @@ def run_case(target: FuzzTarget, case: FuzzCase) -> Dict[str, Any]:
     minimized, reproduced = shrink_trace(
         config, target, trace, reference, strict, violation.kind
     )
-    deterministic = reproduced and _certify_replay(
-        config, target, minimized, reference, strict, violation.kind
-    )
+    from ..obs.export import event_to_json
+
+    deterministic, events = False, ()
+    if reproduced:
+        deterministic, events = _certify_replay(
+            config, target, minimized, reference, strict, violation.kind
+        )
     record["status"] = "violation"
     record["violation"] = {
         "kind": violation.kind,
@@ -340,7 +330,7 @@ def run_case(target: FuzzTarget, case: FuzzCase) -> Dict[str, Any]:
             "reproduced": reproduced,
             "replay_deterministic": deterministic,
         },
-        "events": _witness_events(config, target, minimized) if reproduced else [],
+        "events": [event_to_json(event) for event in events],
     }
     return record
 

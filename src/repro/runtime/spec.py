@@ -50,13 +50,6 @@ SCHEDULERS = ("round-robin", "random", "greedy", "bounded-delay")
 #: crosses the wire (Chalopin et al., content-oblivious computation).
 MESSAGE_MODES = ("plain", "oblivious")
 
-#: The digest's JSON spelling of the wire form: sorted keys, compact
-#: separators (``json.dumps(..., sort_keys=True, separators=(",", ":"))``).
-_DIGEST_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-#: Types :func:`_encode_json` passes through unchanged.
-_JSON_SCALARS = frozenset((type(None), bool, int, float, str))
-
 #: Fields that hold an ``int`` or ``None``.  Only an exact ``int`` is
 #: taken: ``True`` or ``100.0`` would build a spec equal to its int twin
 #: whose wire form, and so whose digest, differs.
@@ -255,7 +248,7 @@ class RunSpec:
         test pins: a refactor that changes any structural digest would
         silently invalidate every cache entry.
         """
-        text = _DIGEST_JSON.encode(self.to_json_dict())
+        text = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode()).hexdigest()
 
     def digest(self) -> str:
@@ -276,15 +269,10 @@ class RunSpec:
         bit-for-bit is rejected rather than silently degraded — a spec
         that decodes to a different digest would poison the shared cache.
         """
-        inputs = self.ring.inputs
         return {
             "engine": self.engine,
             "ring": {
-                "inputs": (
-                    list(inputs)
-                    if all(type(value) in _JSON_SCALARS for value in inputs)
-                    else [_encode_json(value) for value in inputs]
-                ),
+                "inputs": [_encode_json(value) for value in self.ring.inputs],
                 "orientations": list(self.ring.orientations),
             },
             "algorithm": self.algorithm,
@@ -336,7 +324,7 @@ class RunSpec:
         try:
             ring = RingConfiguration(
                 tuple(_decode_json(value) for value in ring_data["inputs"]),
-                tuple(int(bit) for bit in ring_data["orientations"]),
+                tuple(ring_data["orientations"]),
             )
         except (TypeError, ValueError):
             raise ConfigurationError(

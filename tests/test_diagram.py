@@ -136,11 +136,25 @@ class TestFaultMarks:
         assert "+ duplicate" in art
 
     def test_faultless_run_keeps_plain_legend(self):
-        # All zeros: nobody halts while a neighbor still sends, so the
-        # stream has no drop (0111 drops two sends at halted receivers).
+        # All zeros: nobody halts while a neighbor still sends, so no
+        # delivery is lost (0111, below, loses two at halted receivers).
         config, result = recorded_run([0, 0, 0, 0])
         art = space_time_diagram(config, result)
         assert "dropped delivery" not in art and "+ duplicate" not in art
+
+    def test_sends_to_halted_receivers_are_dropped_deliveries(self):
+        """A fault-free run marks ``!`` where a send reaches a processor
+        that has already halted, and its density tail counts the same
+        drops, although the synchronous engine's counters track sends
+        only."""
+        config, result = recorded_run([0, 1, 1, 1])
+        assert result.halt_times == (1, 2, 3, 2)
+        assert result.stats.dropped == 0
+        rows = space_time_diagram(config, result).splitlines()
+        # Cycle 2: processor 2 sends both ways; 1 and 3 halt that cycle.
+        assert rows[4].split() == ["2", "|", ".", "*!", "x", "*!"]
+        assert "! dropped delivery" in rows[-1]
+        assert message_density(result).endswith(" (2 dropped, 0 duplicated)")
 
     def test_density_annotates_fault_counters(self):
         _ring, result = self._dup_stream()

@@ -165,8 +165,9 @@ class TestRoundTrip:
 
 
 class TestRoundTripProperty:
-    """Equal specs write one wire form, so they get one digest on both
-    sides of the gateway."""
+    """A spec's wire form survives the round trip exactly, so it keeps its
+    digest on both sides of the gateway; and a knob equal to its twin
+    (``churn=1`` and ``1.0``) writes the twin's wire form."""
 
     @given(specs())
     @settings(max_examples=200, deadline=None)
@@ -175,6 +176,22 @@ class TestRoundTripProperty:
         assert clone == spec
         assert clone.to_json_dict() == spec.to_json_dict()
         assert clone.structural_digest() == spec.structural_digest()
+
+    @given(specs(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_bool_or_float_bit_is_refused(self, spec, data):
+        """``True`` or ``1.0`` as an orientation bit would build a ring equal
+        to its int twin whose wire form, and digest, differ: refused by the
+        ring and on the wire."""
+        bits = list(spec.ring.orientations)
+        i = data.draw(st.integers(0, len(bits) - 1))
+        bits[i] = data.draw(st.sampled_from((bool(bits[i]), float(bits[i]))))
+        with pytest.raises(ConfigurationError, match="orientation bits must be the ints"):
+            spec.ring.with_orientations(bits)
+        wire = spec.to_json_dict()
+        wire["ring"]["orientations"] = bits
+        with pytest.raises(ConfigurationError, match="orientation bits must be the ints"):
+            RunSpec.from_json_dict(json.loads(json.dumps(wire)))
 
     def test_int_churn_is_the_float_spec(self):
         as_ints = TopologySpec(kind="dynamic-ring", seed=3, churn=1, path_rate=0)
@@ -246,7 +263,7 @@ class TestDecodeRejections:
         """Not a ``ValueError``/``TypeError``: the gateway answers 400, not 500."""
         data = self._base()
         data["ring"] = ring
-        with pytest.raises(ConfigurationError, match="'ring'"):
+        with pytest.raises(ConfigurationError, match="'ring'|orientation bits"):
             RunSpec.from_json_dict(data)
 
     def test_malformed_params(self):
