@@ -207,6 +207,8 @@ class RunSpec:
                 "the sync-batch engine is plain-payload only; run "
                 "content-oblivious specs on engine='sync'"
             )
+        if any(type(key) is not str for key, _ in self.params):
+            raise ConfigurationError(f"params keys must be strings, got {self.params!r}")
         params = tuple(sorted(self.params))
         keys = [key for key, _ in params]
         if len(set(keys)) != len(keys):
@@ -332,7 +334,7 @@ class RunSpec:
             ) from None
         raw_params = data.get("params") or ()
         try:
-            params = tuple((str(key), _decode_json(value)) for key, value in raw_params)
+            params = tuple((key, _decode_json(value)) for key, value in raw_params)
         except (TypeError, ValueError):
             raise ConfigurationError(
                 "spec 'params' must be a list of [key, value] pairs"

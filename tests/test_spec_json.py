@@ -330,6 +330,13 @@ class TestExactTypes:
                 fault_horizon=True,
             )
 
+    def test_non_string_params_key_rejected(self):
+        """``str()`` would decode ``1`` to ``"1"``: another spec, another digest."""
+        with pytest.raises(ConfigurationError, match="params keys must be strings"):
+            RunSpec.make(engine="sync", ring=RING, algorithm="sync-and", params={1: 2})
+        with pytest.raises(ConfigurationError, match="params keys must be strings"):
+            RunSpec.from_json_dict(self._wire(params=[[1, 2]]))
+
     def test_string_record_rejected(self):
         """``"false"`` is not ``false``: no ``bool()`` coercion."""
         with pytest.raises(ConfigurationError, match="record must be a bool"):
